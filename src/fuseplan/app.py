@@ -173,6 +173,8 @@ def parse_app(descriptor_text: str, require_tree: bool = True) -> AppGraph:
         raw_edges = raw["edges"]
     except KeyError as exc:
         raise AppValidationError(f"descriptor missing field {exc.args[0]!r}") from exc
+    if not isinstance(raw_tasks, list) or not isinstance(raw_edges, list):
+        raise AppValidationError("descriptor fields 'tasks' and 'edges' must be lists")
 
     tasks = []
     for item in raw_tasks:

@@ -76,7 +76,16 @@ def _load_levels(ref: str | None) -> tuple[ResourceConfig, ...]:
             raise FusionError(f"--levels {n} outside 1..{len(DEFAULT_LEVELS)}")
         return DEFAULT_LEVELS[:n]
     raw = json.loads(Path(ref).read_text())
-    return tuple(ResourceConfig(float(x["cpu"]), int(x["memory_mb"])) for x in raw)
+    if not isinstance(raw, list):
+        raise FusionError("levels JSON must be a list of {cpu, memory_mb} objects")
+    levels = []
+    for entry in raw:
+        try:
+            cpu, memory_mb = float(entry["cpu"]), int(entry["memory_mb"])
+        except (KeyError, TypeError, ValueError):
+            raise FusionError(f"bad level entry {entry!r}") from None
+        levels.append(ResourceConfig(cpu, memory_mb))
+    return tuple(levels)
 
 
 def _load_platform(ref: str | None) -> PlatformModel:
@@ -99,6 +108,13 @@ def _load_pricing(ref: str | None, default: str = "traditional") -> PricingModel
     if ref == "instance_based":
         return InstanceBasedPricing()
     return load_pricing_config(Path(ref).read_text())
+
+
+def _run_pricings(pricing: PricingModel) -> tuple[TraditionalPricing, InstanceBasedPricing]:
+    """The two cost columns of a run, with ``pricing`` in its own column."""
+    if isinstance(pricing, TraditionalPricing):
+        return pricing, InstanceBasedPricing()
+    return TraditionalPricing(), pricing
 
 
 def _write_or_print(text: str, out: str | None) -> None:
@@ -126,14 +142,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     app = _load_app(args.app)
     levels = _load_levels(args.levels)
     platform = _load_platform(args.platform)
-    traditional = TraditionalPricing()
-    instance = InstanceBasedPricing()
-    if args.pricing and args.pricing not in ("traditional", "instance_based"):
-        override = _load_pricing(args.pricing)
-        if isinstance(override, TraditionalPricing):
-            traditional = override
-        else:
-            instance = override
+    traditional, instance = _run_pricings(_load_pricing(args.pricing))
     rows = run_all(app, levels, platform, traditional, instance, jobs=args.jobs)
     if args.out is None:
         count = write_results_csv(rows, sys.stdout)
@@ -216,9 +225,7 @@ def _cmd_path(args: argparse.Namespace) -> int:
     levels = _load_levels(args.levels)
     platform = _load_platform(args.platform)
     pricing = _load_pricing(args.pricing)
-    traditional = TraditionalPricing()
-    instance = InstanceBasedPricing()
-    rows = list(run_all(app, levels, platform, traditional, instance))
+    rows = list(run_all(app, levels, platform, *_run_pricings(pricing)))
     metrics = metrics_from_rows(rows, pricing.id)
     start = (
         parse_full_setup_name(app, args.start, levels)
@@ -274,7 +281,6 @@ def _add_common(parser: argparse.ArgumentParser, *flags: str) -> None:
         parser.add_argument("--levels", help="level count (1..3) or JSON path")
     if "out" in flags:
         parser.add_argument("--out", help="output path (default stdout)")
-    parser.add_argument("--seed", type=int, default=0, help="reserved")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -291,7 +297,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="simulate and price every setup to CSV")
     _add_common(p, "app", "platform", "pricing", "levels", "out")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    p.add_argument(
+        "--jobs", type=int, default=1,
+        help="accepted for compatibility; rows are evaluated in one process",
+    )
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("sweep", help="alpha sweep over a results CSV")
@@ -329,12 +338,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("calibrate", help="time the Lucas-Lehmer workload")
     p.add_argument("--exponent", type=int, required=True)
     p.add_argument("--reps", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0, help="reserved")
     p.set_defaults(func=_cmd_calibrate)
 
     p = sub.add_parser("apps", help="inspect built-in applications")
     p.add_argument("action", choices=["list"])
-    p.add_argument("--seed", type=int, default=0, help="reserved")
     p.set_defaults(func=_cmd_apps)
 
     return parser

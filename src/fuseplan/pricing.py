@@ -69,27 +69,25 @@ class SetupMetrics:
         return self.setup_name.split("@", 1)[0]
 
 
-def cost_of(result: SimResult, setup: FusionSetup, model: PricingModel) -> float:
-    """Dollar cost per one million application invocations.
+def billed_usage(billed_ms, cpu, memory_mb):
+    """GB-seconds and vCPU-seconds of instances billed ``billed_ms[i]`` at
+    ``cpu[i]`` and ``memory_mb[i]``.
 
-    Billed-time sums are accumulated per resource dimension before any rate
-    is applied, so setups with identical total billed time price identically
-    regardless of how instances are split.
+    Values are floats, or arrays over lanes; sums run in instance order.
     """
-    configs = setup.assignment()
     mb_ms = 0.0
     cpu_ms = 0.0
-    for record in result.invocations:
-        cfg = configs.get(record.group)
-        if cfg is None:
-            raise PricingError(f"invocation group {record.group!r} not in setup")
-        mb_ms += record.billed_ms * cfg.memory_mb
-        cpu_ms += record.billed_ms * cfg.cpu
-    gb_seconds = mb_ms / _MB_PER_GB / _MS_PER_SECOND
-    cpu_seconds = cpu_ms / _MS_PER_SECOND
+    for billed, c, m in zip(billed_ms, cpu, memory_mb):
+        mb_ms = mb_ms + billed * m
+        cpu_ms = cpu_ms + billed * c
+    return mb_ms / _MB_PER_GB / _MS_PER_SECOND, cpu_ms / _MS_PER_SECOND
+
+
+def price_usage(gb_seconds, cpu_seconds, invocations: int, model: PricingModel):
+    """Dollar cost per one million application invocations of one usage."""
     if isinstance(model, TraditionalPricing):
         per_invocation = (
-            model.request_fee_usd * len(result.invocations)
+            model.request_fee_usd * invocations
             + gb_seconds * model.gb_second_rate_usd
         )
     else:
@@ -98,6 +96,28 @@ def cost_of(result: SimResult, setup: FusionSetup, model: PricingModel) -> float
             + gb_seconds * model.gib_second_rate_usd
         )
     return per_invocation * 1e6
+
+
+def cost_of(result: SimResult, setup: FusionSetup, model: PricingModel) -> float:
+    """Dollar cost per one million application invocations.
+
+    Billed-time sums are accumulated per resource dimension before any rate
+    is applied, so setups with identical total billed time price identically
+    regardless of how instances are split.
+    """
+    configs = setup.assignment()
+    used = []
+    for record in result.invocations:
+        cfg = configs.get(record.group)
+        if cfg is None:
+            raise PricingError(f"invocation group {record.group!r} not in setup")
+        used.append(cfg)
+    gb_seconds, cpu_seconds = billed_usage(
+        [r.billed_ms for r in result.invocations],
+        [cfg.cpu for cfg in used],
+        [cfg.memory_mb for cfg in used],
+    )
+    return price_usage(gb_seconds, cpu_seconds, len(result.invocations), model)
 
 
 def metrics_for(

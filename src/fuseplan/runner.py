@@ -1,26 +1,44 @@
 """Full-pipeline execution: enumerate, simulate, and price every setup.
 
+Evaluation is partition-major. Setups that share a partition share their
+whole control flow, so each partition is simulated once, with every level
+assignment as one lane of a numpy array (``sim.simulate_lanes``), and priced
+per lane in instance order as ``pricing.cost_of`` does. Setup names are the
+partition's canonical name plus a cached level suffix. No trace is built.
+
 Rows come out in enumeration order and with repr-exact float formatting, so
-a results file is byte-identical across repeated runs and any worker count.
+a results file is byte-identical across repeated runs and any ``jobs`` value.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from concurrent.futures import ProcessPoolExecutor
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 from .app import AppGraph
-from .fusion import DEFAULT_LEVELS, FusionSetup, ResourceConfig, enumerate_setups
+from .fusion import (
+    DEFAULT_LEVELS,
+    FusionError,
+    FusionPartition,
+    FusionSetup,
+    ResourceConfig,
+    canonical_name,
+    enumerate_partitions,
+)
 from .pricing import (
     InstanceBasedPricing,
     SetupMetrics,
     TraditionalPricing,
+    billed_usage,
     cost_of,
+    price_usage,
 )
-from .sim import PlatformModel, simulate
+from .sim import ColdPolicy, PlatformModel, call_tree, simulate, simulate_lanes
 
 RESULT_COLUMNS = (
     "app",
@@ -44,18 +62,71 @@ class RunRow:
     cold_starts: int
 
 
-_WORKER_STATE: dict = {}
+class _Lanes:
+    """Per-group cpu and memory over a partition's lanes, and the lanes'
+    setup-name suffixes, built once per group count.
+
+    Lane i is the i-th level assignment in ``enumerate_setups`` order: a
+    mixed-radix counter with the first group most significant. One lane is
+    held as plain floats and ints, never as length-1 arrays.
+    """
+
+    def __init__(self, levels: Sequence[ResourceConfig]) -> None:
+        if not levels:
+            raise FusionError("level list must not be empty")
+        self.levels = tuple(levels)
+        self.cpu = np.array([lv.cpu for lv in self.levels], dtype=float)
+        self.memory = np.array([lv.memory_mb for lv in self.levels], dtype=float)
+        self._by_count: dict[int, tuple] = {}
+
+    def of(self, k: int) -> tuple[list, list, list[str]]:
+        """(cpu per group, memory per group, name suffix per lane) for k groups."""
+        if k not in self._by_count:
+            radix = len(self.levels)
+            suffixes = [
+                ",".join(digits)
+                for digits in itertools.product([str(d) for d in range(radix)], repeat=k)
+            ]
+            if radix == 1:
+                level = self.levels[0]
+                cpu, memory = [level.cpu] * k, [level.memory_mb] * k
+            else:
+                lane = np.arange(radix**k)
+                digits = [lane // radix ** (k - 1 - g) % radix for g in range(k)]
+                cpu = [self.cpu[d] for d in digits]
+                memory = [self.memory[d] for d in digits]
+            self._by_count[k] = cpu, memory, suffixes
+        return self._by_count[k]
 
 
-def _init_worker(app: AppGraph, platform: PlatformModel,
-                 traditional: TraditionalPricing,
-                 instance: InstanceBasedPricing) -> None:
-    _WORKER_STATE["args"] = (app, platform, traditional, instance)
+def _per_lane(values, lanes: int) -> list:
+    # tolist() turns float64 into Python floats, so repr() prints them plainly.
+    return values.tolist() if isinstance(values, np.ndarray) else [values] * lanes
 
 
-def _row_for(setup: FusionSetup) -> RunRow:
-    app, platform, traditional, instance = _WORKER_STATE["args"]
-    return evaluate_setup(app, setup, platform, traditional, instance)
+def _partition_rows(app: AppGraph, tree, partition: FusionPartition, lanes: _Lanes,
+                    platform: PlatformModel, traditional: TraditionalPricing,
+                    instance: InstanceBasedPricing) -> Iterator[RunRow]:
+    """Rows of every level assignment of one partition, in enumeration order."""
+    cpu, memory, suffixes = lanes.of(len(partition.groups))
+    latency, instances = simulate_lanes(tree, app.root, partition, cpu, platform)
+    groups = [g for g, _, _, _ in instances]
+    usage = billed_usage(
+        [billed for _, _, _, billed in instances],
+        [cpu[g] for g in groups],
+        [memory[g] for g in groups],
+    )
+    count = len(instances)
+    cold_starts = count if platform.cold_policy is ColdPolicy.ALWAYS_COLD else 0
+    prefix = canonical_name(partition) + "@"
+    n = len(suffixes)
+    for suffix, lat, trad, inst in zip(
+        suffixes,
+        _per_lane(latency, n),
+        _per_lane(price_usage(*usage, count, traditional), n),
+        _per_lane(price_usage(*usage, count, instance), n),
+    ):
+        yield RunRow(app.name, prefix + suffix, lat, trad, inst, count, cold_starts)
 
 
 def evaluate_setup(
@@ -85,19 +156,17 @@ def run_all(
     instance: InstanceBasedPricing = InstanceBasedPricing(),
     jobs: int = 1,
 ) -> Iterator[RunRow]:
-    """Yield one row per setup, in enumeration order, optionally in parallel."""
-    setups = enumerate_setups(app, levels)
-    if jobs <= 1:
-        _init_worker(app, platform, traditional, instance)
-        for setup in setups:
-            yield _row_for(setup)
-        return
-    with ProcessPoolExecutor(
-        max_workers=jobs,
-        initializer=_init_worker,
-        initargs=(app, platform, traditional, instance),
-    ) as pool:
-        yield from pool.map(_row_for, setups, chunksize=256)
+    """Yield one row per setup, in enumeration order.
+
+    ``jobs`` is accepted for compatibility and does not change the rows.
+    Evaluation runs in this process: with per-setup overhead gone, sharding
+    partitions over a process pool measured slower at every benchmarked size,
+    since pool start-up and shipping rows back cost more than the walks.
+    """
+    lanes = _Lanes(levels)
+    tree = call_tree(app)
+    for partition in enumerate_partitions(app):
+        yield from _partition_rows(app, tree, partition, lanes, platform, traditional, instance)
 
 
 def write_results_csv(rows: Iterable[RunRow], stream: io.TextIOBase) -> int:

@@ -1,4 +1,4 @@
-"""Deterministic single-request simulation of a fusion setup.
+"""Deterministic single-request simulation of fusion setups.
 
 Timing rules, applied with one logical clock per request:
 
@@ -22,16 +22,28 @@ Timing rules, applied with one logical clock per request:
 
 Instances never block each other except through these rules, so results are
 pure functions of (app, setup, model) and identical across repeated runs.
+
+Control flow never depends on timings: which instances exist, their spawn
+order and the tasks each runs follow from the partition alone. So one walk of
+the call tree serves every level assignment of a partition at once. Each time
+is a Python float when there is one assignment (lane), or a numpy array over
+the lanes in ``enumerate_setups`` order; every lane sees the same float
+operations in the same order as a one-lane walk, so results are bit-identical
+either way. ``simulate`` is the one-lane walk that also records the trace;
+``simulate_lanes`` walks all lanes of a partition and records none.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence, Union
+
+import numpy as np
 
 from .app import AppGraph, CallMode, Task
-from .fusion import FusionSetup, group_name
+from .fusion import FusionPartition, FusionSetup, group_name
 
 
 class SimulationError(ValueError):
@@ -138,106 +150,145 @@ class SimResult:
         }
 
 
-def _round_up(value: float, quantum: float) -> float:
+# A time: one float for a single lane, or an array over a partition's lanes.
+Time = Union[float, np.ndarray]
+
+
+def call_tree(app: AppGraph) -> dict[str, tuple[float, tuple[tuple[str, bool], ...]]]:
+    """Per task: compute time at cpu 1.0 and its calls as (callee, is_sync)."""
+    return {
+        t.name: (
+            t.base_work_ms,
+            tuple((e.callee, e.mode is CallMode.SYNC) for e in app.outgoing(t.name)),
+        )
+        for t in app.tasks
+    }
+
+
+def _round_up(value: Time, quantum: float) -> Time:
     # The epsilon absorbs float noise so exact multiples are not bumped up.
-    return math.ceil(value / quantum - 1e-9) * quantum
+    steps = value / quantum - 1e-9
+    if isinstance(steps, np.ndarray):
+        if np.isfinite(steps).all():
+            return np.ceil(steps) * quantum
+    elif math.isfinite(steps):
+        return math.ceil(steps) * quantum
+    raise SimulationError("billed time is not finite")
 
 
-@dataclass
-class _Run:
-    app: AppGraph
-    setup: FusionSetup
-    model: PlatformModel
-    group_of: dict[str, int]
-    records: list[InvocationRecord] = field(default_factory=list)
-    events: list[TraceEvent] = field(default_factory=list)
-    next_instance: int = 0
-    next_seq: int = 0
+class _Walk:
+    """One request through one partition, for every lane at once.
+
+    ``cpu[g]`` is group g's cpu fraction per lane. Instances are numbered in
+    spawn order, which is the same in every lane.
+    """
+
+    def __init__(self, tree, group_of: dict[str, int], cpu: Sequence[Time],
+                 model: PlatformModel) -> None:
+        self.tree = tree
+        self.group_of = group_of
+        self.cpu = cpu
+        self.net = model.net_oneway_ms
+        self.cold = model.cold_delay_ms
+        self.quantum = model.billing_quantum_ms
+        # (group, start, end, billed) per instance id.
+        self.instances: list = []
 
     def log(self, time_ms: float, kind: str, instance_id: int, task: str) -> None:
-        self.events.append(TraceEvent(time_ms, self.next_seq, kind, instance_id, task))
-        self.next_seq += 1
+        """Trace hook; only a traced walk records events."""
 
-    def spawn(self, entry: str, issue_time: float) -> tuple[float, float]:
-        """Run a fresh instance for ``entry``; return (response, completion).
+    def run(self, root: str) -> tuple[Time, list]:
+        """Walk from the client's dispatch at t=0; return (latency, instances)."""
+        self.spawn(root, 0.0)
+        ends = [end for _, _, end, _ in self.instances]
+        if isinstance(ends[0], np.ndarray):
+            return np.maximum.reduce(ends), self.instances
+        return max(ends), self.instances
+
+    def spawn(self, entry: str, issue_time: Time) -> Time:
+        """Run a fresh instance for ``entry``; return its response time.
 
         The response time is when the entry task's call chain returns; the
-        completion time includes draining the local async queue.
+        instance completes once its local async queue drains.
         """
-        instance_id = self.next_instance
-        self.next_instance += 1
+        instance_id = len(self.instances)
+        self.instances.append(None)
         gidx = self.group_of[entry]
-        cfg = self.setup.config_of(gidx)
-        cold = self.model.cold_policy is ColdPolicy.ALWAYS_COLD
-        start = issue_time + self.model.net_oneway_ms + self.model.cold_delay_ms
+        cpu = self.cpu[gidx]
+        start = issue_time + self.net + self.cold
         self.log(start, "exec_start", instance_id, entry)
 
         queue: list[str] = []
-        response = self.run_chain(entry, start, instance_id, gidx, cfg.cpu, queue)
+        response = self.run_chain(entry, start, instance_id, gidx, cpu, queue)
         t = response
         while queue:
-            t = self.run_chain(queue.pop(0), t, instance_id, gidx, cfg.cpu, queue)
+            t = self.run_chain(queue.pop(0), t, instance_id, gidx, cpu, queue)
         self.log(t, "instance_end", instance_id, entry)
+        self.instances[instance_id] = (gidx, start, t, _round_up(t - start, self.quantum))
+        return response
 
-        billed = _round_up(t - start, self.model.billing_quantum_ms)
-        self.records.append(
-            InvocationRecord(
-                group=group_name(self.setup.partition.groups[gidx]),
-                instance_id=instance_id,
-                start_ms=start,
-                end_ms=t,
-                billed_ms=billed,
-                cold=cold,
-            )
-        )
-        return response, t
-
-    def run_chain(
-        self,
-        task_name: str,
-        t: float,
-        instance_id: int,
-        gidx: int,
-        cpu: float,
-        queue: list[str],
-    ) -> float:
-        task = self.app.task(task_name)
-        self.log(t, "task_start", instance_id, task_name)
-        t += task_duration(task, cpu)
-        self.log(t, "task_end", instance_id, task_name)
-        for edge in self.app.outgoing(task_name):
-            local = self.group_of[edge.callee] == gidx
-            if edge.mode is CallMode.SYNC:
+    def run_chain(self, task: str, t: Time, instance_id: int, gidx: int,
+                  cpu: Time, queue: list[str]) -> Time:
+        # Times are never updated in place: an array may be shared with a
+        # recorded start or a caller's clock.
+        work, calls = self.tree[task]
+        self.log(t, "task_start", instance_id, task)
+        t = t + work / cpu
+        self.log(t, "task_end", instance_id, task)
+        for callee, sync in calls:
+            local = self.group_of[callee] == gidx
+            if sync:
                 if local:
-                    t = self.run_chain(edge.callee, t, instance_id, gidx, cpu, queue)
+                    t = self.run_chain(callee, t, instance_id, gidx, cpu, queue)
                 else:
-                    self.log(t, "call_sync", instance_id, edge.callee)
-                    response, _ = self.spawn(edge.callee, t)
-                    t = response + self.model.net_oneway_ms
+                    self.log(t, "call_sync", instance_id, callee)
+                    t = self.spawn(callee, t) + self.net
+            elif local:
+                self.log(t, "enqueue_local", instance_id, callee)
+                queue.append(callee)
             else:
-                if local:
-                    self.log(t, "enqueue_local", instance_id, edge.callee)
-                    queue.append(edge.callee)
-                else:
-                    self.log(t, "call_async", instance_id, edge.callee)
-                    self.spawn(edge.callee, t)
+                self.log(t, "call_async", instance_id, callee)
+                self.spawn(callee, t)
         return t
+
+
+class _TracedWalk(_Walk):
+    def __init__(self, *args) -> None:
+        super().__init__(*args)
+        self.events: list[TraceEvent] = []
+
+    def log(self, time_ms: float, kind: str, instance_id: int, task: str) -> None:
+        self.events.append(TraceEvent(time_ms, len(self.events), kind, instance_id, task))
+
+
+def simulate_lanes(tree, root: str, partition: FusionPartition, cpu: Sequence[Time],
+                   model: PlatformModel) -> tuple[Time, list]:
+    """Simulate every lane of ``partition`` in one walk, without a trace.
+
+    ``tree`` is ``call_tree(app)``; ``cpu[g]`` holds group g's cpu per lane,
+    as a float when there is one lane. Returns the latency and, per instance
+    in id order, ``(group index, start, end, billed)``.
+    """
+    group_of = {name: idx for idx, group in enumerate(partition.groups) for name in group}
+    return _Walk(tree, group_of, cpu, model).run(root)
 
 
 def simulate(app: AppGraph, setup: FusionSetup, model: PlatformModel) -> SimResult:
     """Simulate one request under ``setup`` and return its full timeline."""
-    covered = frozenset().union(*setup.partition.groups)
+    partition = setup.partition
+    covered = frozenset().union(*partition.groups)
     if covered != frozenset(app.task_names()):
         raise SimulationError("setup partition does not cover the app's tasks")
-    group_of = {
-        name: idx
-        for idx, group in enumerate(setup.partition.groups)
-        for name in group
-    }
-    run = _Run(app, setup, model, group_of)
-    run.log(0.0, "dispatch", -1, app.root)
-    run.spawn(app.root, 0.0)
-    latency = max(r.end_ms for r in run.records)
-    trace = tuple(sorted(run.events, key=lambda e: (e.time_ms, e.seq)))
-    records = tuple(sorted(run.records, key=lambda r: r.instance_id))
+    group_of = {name: idx for idx, group in enumerate(partition.groups) for name in group}
+    cpu = [setup.config_of(g).cpu for g in range(len(partition.groups))]
+    walk = _TracedWalk(call_tree(app), group_of, cpu, model)
+    walk.log(0.0, "dispatch", -1, app.root)
+    latency, instances = walk.run(app.root)
+    names = [group_name(g) for g in partition.groups]
+    cold = model.cold_policy is ColdPolicy.ALWAYS_COLD
+    records = tuple(
+        InvocationRecord(names[g], i, start, end, billed, cold)
+        for i, (g, start, end, billed) in enumerate(instances)
+    )
+    trace = tuple(sorted(walk.events, key=lambda e: (e.time_ms, e.seq)))
     return SimResult(latency_ms=latency, invocations=records, trace=trace)

@@ -31,6 +31,10 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
+def _xml_text(text: str) -> str:
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def scatter_svg(
     metrics: Sequence[SetupMetrics],
     title: str = "",
@@ -67,7 +71,7 @@ def scatter_svg(
     if title:
         parts.append(
             f'<text class="label" x="{_WIDTH // 2}" y="24" '
-            f'text-anchor="middle">{title}</text>'
+            f'text-anchor="middle">{_xml_text(title)}</text>'
         )
     for x, y in zip(cost_n, lat_n):
         parts.append(

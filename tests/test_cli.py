@@ -219,3 +219,45 @@ def test_no_color_env_strips_ansi(linear_results, capsys, monkeypatch):
     monkeypatch.setenv("FUSEPLAN_NO_COLOR", "1")
     assert run_cli("sweep", "--results", str(linear_results), "--pricing", "traditional") == 0
     assert "\033[" not in capsys.readouterr().out
+
+
+def _path_scores(capsys, pricing: str) -> list[str]:
+    assert run_cli("path", "--app", "builtin:LINEAR", "--alpha", "0.5", "--pricing", pricing) == 0
+    out = capsys.readouterr().out
+    return [line.split("score", 1)[1] for line in out.splitlines() if "score" in line]
+
+
+def test_path_uses_pricing_config_rates(tmp_path, capsys):
+    config = tmp_path / "fee.json"
+    config.write_text(json.dumps({"model": "traditional", "request_fee_usd": 0.01}))
+    default = _path_scores(capsys, "traditional")
+    assert default
+    assert _path_scores(capsys, str(config)) != default
+
+
+def test_level_entry_without_memory_is_domain_error(tmp_path, capsys):
+    levels = tmp_path / "levels.json"
+    levels.write_text(json.dumps([{"cpu": 0.5}]))
+    assert run_cli("run", "--app", "builtin:LINEAR", "--levels", str(levels)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
+def test_descriptor_with_non_list_tasks_is_domain_error(tmp_path, capsys):
+    descriptor = tmp_path / "bad.json"
+    descriptor.write_text(json.dumps({"name": "X", "root": "A", "tasks": 5, "edges": []}))
+    assert run_cli("run", "--app", str(descriptor)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
+def test_plot_title_is_xml_escaped():
+    from xml.dom import minidom
+
+    from fuseplan.pricing import SetupMetrics
+    from fuseplan.svg import scatter_svg
+
+    svg = scatter_svg([SetupMetrics("A@0", 1.0, 2.0)], "a<b&c")
+    doc = minidom.parseString(svg)
+    titles = [t.firstChild.data for t in doc.getElementsByTagName("text")]
+    assert "a<b&c" in titles

@@ -185,3 +185,15 @@ def test_async_fusion_never_reduces_zero_overhead_latency(app):
             app, FusionSetup(p, tuple(2 for _ in p.groups), DEFAULT_LEVELS), model
         )
         assert fused.latency_ms >= base.latency_ms - 1e-9
+
+
+@pytest.mark.parametrize("levels", [DEFAULT_LEVELS[:1], DEFAULT_LEVELS])
+def test_non_finite_times_rejected(s2_sync, levels):
+    # One lane runs on floats, several on arrays; both refuse a NaN clock.
+    from fuseplan.runner import run_all
+
+    model = PlatformModel(net_oneway_ms=float("nan"))
+    with pytest.raises(SimulationError, match="not finite"):
+        list(run_all(s2_sync, levels, model))
+    with pytest.raises(SimulationError, match="not finite"):
+        simulate(s2_sync, setup_of(s2_sync, "A,B@0,0"), model)
