@@ -5,13 +5,31 @@ swept over an evenly spaced alpha grid; per alpha the winning setup is the
 score argmin. Exact score ties are broken by lower raw cost, then lower raw
 latency, then canonical setup name, which keeps reports reproducible even
 when many setups coincide numerically.
+
+Latency and cost are min-max normalized over every setup, but only the
+Pareto front is scored. This picks the same winner as scoring every setup.
+Let a setup D be dominated by a setup F: F is <= in both raw values and <
+in one. Each float step of the score is monotone in its inputs:
+``v - lo`` and the division by ``hi - lo > 0`` (or the constant 0.0),
+then ``alpha * x`` and ``(1 - alpha) * y`` for weights in [0, 1], then
+their sum, since IEEE rounding never reverses an order. So F scores <= D
+at every alpha, and F comes first in (cost, latency, name) order, so D is
+never the tie-broken argmin. Every dominated setup is dominated by one on
+the front, since dominance is a strict order on a finite set, and the
+front is scored in that same order. Both the front and the bounds come
+from one pass over the setups, so neither the sweep nor the front sorts
+every setup or holds more than the front's scores. All values must be
+finite: NaN breaks the ordering, so it is rejected.
 """
 
 from __future__ import annotations
 
 import json
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Sequence
+from operator import attrgetter
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -43,8 +61,10 @@ def normalize_metrics(values: Sequence[float]) -> list[float]:
     """Min-max normalization to [0, 1]; constant input maps to all zeros."""
     if not values:
         raise AnalysisError("cannot normalize an empty list")
-    lo = min(values)
-    hi = max(values)
+    return _scale(values, min(values), max(values))
+
+
+def _scale(values: Iterable[float], lo: float, hi: float) -> list[float]:
     if hi == lo:
         return [0.0 for _ in values]
     return [(v - lo) / (hi - lo) for v in values]
@@ -121,7 +141,57 @@ class SweepReport:
         return json.dumps(doc, indent=2, sort_keys=True)
 
 
-_SWEEP_CHUNK = 512
+# Scores held at once; alpha rows per chunk are this over the front size, so
+# memory stays bounded even when every setup is on the front.
+_SCORES_PER_CHUNK = 1 << 20
+
+
+def _fold(
+    metrics: Iterable[SetupMetrics],
+) -> tuple[list[SetupMetrics], tuple[float, float], tuple[float, float]]:
+    """One pass over ``metrics``: the Pareto front, sorted by (cost, latency,
+    name), and the (lo, hi) bounds of latency and of cost over every setup.
+
+    The running front keeps its distinct costs ascending with strictly
+    falling latencies (Kung, Luccio & Preparata, 1975), so a new point is
+    placed by bisection, and the points it dominates follow it contiguously.
+    """
+    costs: list[float] = []
+    lats: list[float] = []
+    points: list[list[SetupMetrics]] = []
+    lat_lo = cost_lo = math.inf
+    lat_hi = cost_hi = -math.inf
+    for m in metrics:
+        lat, cost = m.latency_ms, m.cost_pmi_usd
+        if not (math.isfinite(lat) and math.isfinite(cost)):
+            raise AnalysisError(f"setup {m.setup_name!r} has a non-finite latency or cost")
+        if lat < lat_lo:
+            lat_lo = lat
+        if lat > lat_hi:
+            lat_hi = lat
+        if cost < cost_lo:
+            cost_lo = cost
+        if cost > cost_hi:
+            cost_hi = cost
+        i = bisect_right(costs, cost)
+        if i and lats[i - 1] <= lat:
+            if lats[i - 1] == lat and costs[i - 1] == cost:
+                points[i - 1].append(m)
+            continue
+        # Not dominated: replace the point at equal cost, if any, and every
+        # costlier point that is no faster.
+        j = i - 1 if i and costs[i - 1] == cost else i
+        k = i
+        while k < len(lats) and lats[k] >= lat:
+            k += 1
+        costs[j:k] = [cost]
+        lats[j:k] = [lat]
+        points[j:k] = [[m]]
+    front = []
+    for group in points:
+        group.sort(key=attrgetter("setup_name"))
+        front.extend(group)
+    return front, (lat_lo, lat_hi), (cost_lo, cost_hi)
 
 
 def alpha_sweep(
@@ -129,26 +199,28 @@ def alpha_sweep(
     grid: AlphaGrid = AlphaGrid(),
     pricing_model_id: str = "",
 ) -> SweepReport:
-    """Pick the score-minimal setup at every grid point and summarize."""
-    if not metrics:
+    """Pick the score-minimal setup at every grid point and summarize.
+
+    Only the Pareto front is scored, normalized with the bounds of every
+    setup; the module docstring gives why the winners are those of scoring
+    every setup.
+    """
+    front, (lat_lo, lat_hi), (cost_lo, cost_hi) = _fold(metrics)
+    if not front:
         raise AnalysisError("alpha_sweep needs at least one metric")
-    # Pre-sorting by the tie-break key makes argmin's first-minimum rule
-    # implement the documented tie-break exactly.
-    order = sorted(
-        range(len(metrics)),
-        key=lambda i: (metrics[i].cost_pmi_usd, metrics[i].latency_ms, metrics[i].setup_name),
-    )
-    ordered = [metrics[i] for i in order]
-    lat = np.array(normalize_metrics([m.latency_ms for m in ordered]))
-    cost = np.array(normalize_metrics([m.cost_pmi_usd for m in ordered]))
+    # The front is in tie-break order, so argmin's first-minimum rule
+    # implements the documented tie-break exactly.
+    lat = np.array(_scale([m.latency_ms for m in front], lat_lo, lat_hi))
+    cost = np.array(_scale([m.cost_pmi_usd for m in front], cost_lo, cost_hi))
+    names = [m.setup_name for m in front]
     alphas = grid.values()
+    rows = max(1, _SCORES_PER_CHUNK // len(front))
 
     winners: list[str] = []
-    for lo in range(0, grid.steps, _SWEEP_CHUNK):
-        chunk = alphas[lo : lo + _SWEEP_CHUNK, None]
+    for lo in range(0, grid.steps, rows):
+        chunk = alphas[lo : lo + rows, None]
         scores = chunk * lat[None, :] + (1.0 - chunk) * cost[None, :]
-        for row in np.argmin(scores, axis=1):
-            winners.append(ordered[row].setup_name)
+        winners.extend(names[i] for i in np.argmin(scores, axis=1).tolist())
 
     coverage_counts: dict[str, int] = {}
     partition_counts: dict[str, int] = {}
@@ -162,35 +234,19 @@ def alpha_sweep(
         winner_per_alpha=tuple(winners),
         coverage_counts=dict(sorted(coverage_counts.items())),
         partition_counts=dict(sorted(partition_counts.items())),
-        pareto=tuple(pareto_front(metrics)),
+        pareto=tuple(front),
     )
 
 
-def pareto_front(metrics: Sequence[SetupMetrics]) -> list[SetupMetrics]:
-    """Setups not dominated in (latency, cost), sorted by cost ascending.
+def pareto_front(metrics: Iterable[SetupMetrics]) -> list[SetupMetrics]:
+    """Setups not dominated in (latency, cost), sorted by (cost, latency, name).
 
     A setup is dominated when another is <= in both dimensions and < in at
     least one; duplicates of a non-dominated point are all kept.
     """
-    if not metrics:
+    front, _, _ = _fold(metrics)
+    if not front:
         raise AnalysisError("pareto_front needs at least one metric")
-    by_key = sorted(
-        metrics, key=lambda m: (m.cost_pmi_usd, m.latency_ms, m.setup_name)
-    )
-    front: list[SetupMetrics] = []
-    best_lat_strictly_cheaper = float("inf")
-    i = 0
-    while i < len(by_key):
-        j = i
-        while j < len(by_key) and by_key[j].cost_pmi_usd == by_key[i].cost_pmi_usd:
-            j += 1
-        group_min = min(m.latency_ms for m in by_key[i:j])
-        if group_min < best_lat_strictly_cheaper:
-            front.extend(
-                m for m in by_key[i:j] if m.latency_ms == group_min
-            )
-            best_lat_strictly_cheaper = group_min
-        i = j
     return front
 
 

@@ -9,6 +9,7 @@ defaults taken from public provider price lists.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from .app import AppGraph
@@ -29,6 +30,11 @@ class PricingError(ValueError):
     """Raised for invalid pricing configuration or mismatched inputs."""
 
 
+def _check_rates(*rates: float) -> None:
+    if not all(math.isfinite(rate) and rate >= 0 for rate in rates):
+        raise PricingError(f"rates must be finite and >= 0, got {rates}")
+
+
 @dataclass(frozen=True)
 class TraditionalPricing:
     request_fee_usd: float = DEFAULT_REQUEST_FEE_USD
@@ -37,8 +43,7 @@ class TraditionalPricing:
     id = "traditional"
 
     def __post_init__(self) -> None:
-        if self.request_fee_usd < 0 or self.gb_second_rate_usd < 0:
-            raise PricingError("rates must be >= 0")
+        _check_rates(self.request_fee_usd, self.gb_second_rate_usd)
 
 
 @dataclass(frozen=True)
@@ -49,8 +54,7 @@ class InstanceBasedPricing:
     id = "instance_based"
 
     def __post_init__(self) -> None:
-        if self.vcpu_second_rate_usd < 0 or self.gib_second_rate_usd < 0:
-            raise PricingError("rates must be >= 0")
+        _check_rates(self.vcpu_second_rate_usd, self.gib_second_rate_usd)
 
 
 PricingModel = TraditionalPricing | InstanceBasedPricing
@@ -146,18 +150,19 @@ def load_pricing_config(text: str) -> PricingModel:
     model = raw.get("model", "traditional")
     if model == "traditional":
         return TraditionalPricing(
-            request_fee_usd=float(raw.get("request_fee_usd", DEFAULT_REQUEST_FEE_USD)),
-            gb_second_rate_usd=float(
-                raw.get("gb_second_rate_usd", DEFAULT_GB_SECOND_USD)
-            ),
+            request_fee_usd=_rate(raw, "request_fee_usd", DEFAULT_REQUEST_FEE_USD),
+            gb_second_rate_usd=_rate(raw, "gb_second_rate_usd", DEFAULT_GB_SECOND_USD),
         )
     if model == "instance_based":
         return InstanceBasedPricing(
-            vcpu_second_rate_usd=float(
-                raw.get("vcpu_second_rate_usd", DEFAULT_VCPU_SECOND_USD)
-            ),
-            gib_second_rate_usd=float(
-                raw.get("gib_second_rate_usd", DEFAULT_GIB_SECOND_USD)
-            ),
+            vcpu_second_rate_usd=_rate(raw, "vcpu_second_rate_usd", DEFAULT_VCPU_SECOND_USD),
+            gib_second_rate_usd=_rate(raw, "gib_second_rate_usd", DEFAULT_GIB_SECOND_USD),
         )
     raise PricingError(f"unknown pricing model {model!r}")
+
+
+def _rate(raw: dict, key: str, default: float) -> float:
+    try:
+        return float(raw.get(key, default))
+    except (TypeError, ValueError):
+        raise PricingError(f"pricing config {key} must be a number") from None

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+from math import isfinite
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -191,22 +192,34 @@ def write_results_csv(rows: Iterable[RunRow], stream: io.TextIOBase) -> int:
 
 
 def read_results_csv(stream: io.TextIOBase) -> list[RunRow]:
-    reader = csv.DictReader(stream)
-    if reader.fieldnames is None or tuple(reader.fieldnames) != RESULT_COLUMNS:
+    """Parse a results CSV written by ``write_results_csv``.
+
+    A row with the wrong field count, a number that does not parse or a
+    non-finite latency or cost raises ``ValueError`` naming its line.
+    Blank lines are skipped.
+    """
+    reader = csv.reader(stream)
+    if tuple(next(reader, ())) != RESULT_COLUMNS:
         raise ValueError("unrecognized results CSV header")
+    width = len(RESULT_COLUMNS)
     rows = []
     for rec in reader:
-        rows.append(
-            RunRow(
-                app=rec["app"],
-                setup=rec["setup"],
-                latency_ms=float(rec["latency_ms"]),
-                cost_traditional_pmi=float(rec["cost_traditional_pmi"]),
-                cost_instance_pmi=float(rec["cost_instance_pmi"]),
-                invocations=int(rec["invocations"]),
-                cold_starts=int(rec["cold_starts"]),
+        if not rec:
+            continue
+        if len(rec) != width:
+            raise ValueError(
+                f"results CSV line {reader.line_num}: {len(rec)} fields, expected {width}"
             )
-        )
+        app, setup, latency, traditional, instance, invocations, cold_starts = rec
+        try:
+            row = RunRow(app, setup, float(latency), float(traditional), float(instance),
+                         int(invocations), int(cold_starts))
+        except ValueError as exc:
+            raise ValueError(f"results CSV line {reader.line_num}: {exc}") from None
+        if not (isfinite(row.latency_ms) and isfinite(row.cost_traditional_pmi)
+                and isfinite(row.cost_instance_pmi)):
+            raise ValueError(f"results CSV line {reader.line_num}: non-finite latency or cost")
+        rows.append(row)
     return rows
 
 

@@ -261,3 +261,45 @@ def test_plot_title_is_xml_escaped():
     doc = minidom.parseString(svg)
     titles = [t.firstChild.data for t in doc.getElementsByTagName("text")]
     assert "a<b&c" in titles
+
+
+def _assert_one_error_line(capsys) -> None:
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        "x,a@0,1.0",
+        "x,a@0,1.0,2.0,3.0,1,0,extra",
+        "x,a@0,nan,2.0,3.0,1,0",
+        "x,a@0,1.0,inf,3.0,1,0",
+        "x,a@0,1.0,2.0,-inf,1,0",
+        "x,a@0,1.0,2.0,3.0,1.5,0",
+    ],
+)
+@pytest.mark.parametrize("command", ["sweep", "pareto"])
+def test_malformed_results_row_is_domain_error(tmp_path, capsys, command, row):
+    results = tmp_path / "bad.csv"
+    results.write_text(",".join(RESULT_COLUMNS) + "\nx,b@0,2.0,2.0,3.0,1,0\n" + row + "\n")
+    assert run_cli(command, "--results", str(results), "--pricing", "traditional") == 1
+    _assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        '{"model": "traditional", "request_fee_usd": NaN}',
+        '{"model": "traditional", "gb_second_rate_usd": Infinity}',
+        '{"model": "instance_based", "vcpu_second_rate_usd": NaN}',
+        '{"model": "traditional", "request_fee_usd": null}',
+    ],
+)
+@pytest.mark.parametrize("command", ["run", "path"])
+def test_bad_pricing_rate_is_domain_error(tmp_path, capsys, command, config):
+    path = tmp_path / "pricing.json"
+    path.write_text(config)
+    extra = ["--alpha", "0.5"] if command == "path" else ["--out", str(tmp_path / "out.csv")]
+    assert run_cli(command, "--app", "builtin:LINEAR", "--pricing", str(path), *extra) == 1
+    _assert_one_error_line(capsys)

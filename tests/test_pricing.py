@@ -124,6 +124,18 @@ def test_negative_rates_rejected():
         InstanceBasedPricing(gib_second_rate_usd=-0.5)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_rates_rejected(bad):
+    with pytest.raises(PricingError):
+        TraditionalPricing(request_fee_usd=bad)
+    with pytest.raises(PricingError):
+        TraditionalPricing(gb_second_rate_usd=bad)
+    with pytest.raises(PricingError):
+        InstanceBasedPricing(vcpu_second_rate_usd=bad)
+    with pytest.raises(PricingError):
+        InstanceBasedPricing(gib_second_rate_usd=bad)
+
+
 def test_load_pricing_config_variants():
     trad = load_pricing_config(
         '{"model": "traditional", "request_fee_usd": 1e-7,'
