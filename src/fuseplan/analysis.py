@@ -28,15 +28,15 @@ import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from operator import attrgetter
+from itertools import compress
+from operator import attrgetter, itemgetter
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .app import AppGraph, CallMode
-from .fusion import FusionPartition, FusionSetup, validate_partition
-from .pricing import PricingModel, SetupMetrics, metrics_for
-from .sim import PlatformModel
+from .app import AppGraph, sync_skeleton
+from .fusion import FusionPartition, FusionSetup, fuse
+from .pricing import SetupMetrics
 
 
 class AnalysisError(ValueError):
@@ -251,26 +251,11 @@ def pareto_front(metrics: Iterable[SetupMetrics]) -> list[SetupMetrics]:
 
 
 def sync_fuse_heuristic(app: AppGraph) -> FusionPartition:
-    """Fuse the connected components of the synchronous skeleton.
+    """Fuse every synchronous call edge.
 
     Tasks linked only by asynchronous calls stay in separate groups.
     """
-    parent = {n: n for n in app.task_names()}
-
-    def find(x: str) -> str:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for e in app.edges:
-        if e.mode is CallMode.SYNC:
-            parent[find(e.caller)] = find(e.callee)
-    blocks: dict[str, set[str]] = {}
-    for n in app.task_names():
-        blocks.setdefault(find(n), set()).add(n)
-    partition = FusionPartition.from_groups([frozenset(b) for b in blocks.values()])
-    return validate_partition(app, partition)
+    return fuse(app, sync_skeleton(app))
 
 
 @dataclass(frozen=True)
@@ -283,142 +268,80 @@ class OptimizationStep:
 
 
 def _neighbors(app: AppGraph, setup: FusionSetup) -> list[tuple[str, FusionSetup]]:
-    """One-move neighborhood: fuse an edge, split along an edge, shift a level."""
-    out: list[tuple[str, FusionSetup]] = []
+    """One-move neighborhood: toggle one call edge, or shift one level.
+
+    Toggling an edge between two groups merges them, and toggling an edge
+    inside a group splits it. Each new group takes the highest level of the
+    old groups it overlaps.
+    """
     partition = setup.partition
-    palette = setup.levels
-    pairs = app.undirected_pairs()
-
-    for a, b in pairs:
-        ga, gb = partition.group_of(a), partition.group_of(b)
-        if ga == gb:
-            continue
-        merged = partition.groups[ga] | partition.groups[gb]
-        groups = [g for i, g in enumerate(partition.groups) if i not in (ga, gb)]
-        levels = [setup.level_indices[i] for i in range(len(partition.groups)) if i not in (ga, gb)]
-        groups.append(merged)
-        levels.append(max(setup.level_indices[ga], setup.level_indices[gb]))
-        new_part = FusionPartition.from_groups(groups)
-        realign = [
-            levels[groups.index(g)] for g in new_part.groups
-        ]
-        out.append(("fusion", FusionSetup(new_part, tuple(realign), palette)))
-
-    for gi, group in enumerate(partition.groups):
-        if len(group) < 2:
-            continue
-        internal = [(a, b) for a, b in pairs if a in group and b in group]
-        for cut in internal:
-            kept = [p for p in internal if p != cut]
-            parent = {n: n for n in group}
-
-            def find(x: str) -> str:
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
-
-            for a, b in kept:
-                parent[find(a)] = find(b)
-            halves: dict[str, set[str]] = {}
-            for n in group:
-                halves.setdefault(find(n), set()).add(n)
-            if len(halves) != 2:
-                continue
-            groups = [g for i, g in enumerate(partition.groups) if i != gi]
-            levels = [setup.level_indices[i] for i in range(len(partition.groups)) if i != gi]
-            for half in halves.values():
-                groups.append(frozenset(half))
-                levels.append(setup.level_indices[gi])
-            new_part = FusionPartition.from_groups(groups)
-            realign = [levels[groups.index(g)] for g in new_part.groups]
-            out.append(("fusion", FusionSetup(new_part, tuple(realign), palette)))
+    group_of = {t: i for i, g in enumerate(partition.groups) for t in g}
+    fused = [group_of[e.caller] == group_of[e.callee] for e in app.edges]
+    out: list[tuple[str, FusionSetup]] = []
+    for i in range(len(fused)):
+        toggled = fused.copy()
+        toggled[i] = not toggled[i]
+        new_part = fuse(app, compress(app.edges, toggled))
+        levels = tuple(
+            max(setup.level_indices[group_of[t]] for t in g) for g in new_part.groups
+        )
+        out.append(("fusion", FusionSetup(new_part, levels, setup.levels)))
 
     for gi in range(len(partition.groups)):
         for delta in (-1, 1):
             idx = setup.level_indices[gi] + delta
-            if 0 <= idx < len(palette):
+            if 0 <= idx < len(setup.levels):
                 levels = list(setup.level_indices)
                 levels[gi] = idx
-                out.append(("resource", FusionSetup(partition, tuple(levels), palette)))
+                out.append(("resource", FusionSetup(partition, tuple(levels), setup.levels)))
     return out
 
 
 def greedy_optimize_path(
     app: AppGraph,
-    platform: PlatformModel,
-    pricing: PricingModel,
+    metrics: Iterable[SetupMetrics],
     alpha: float,
     start_setup: FusionSetup,
-    full_metrics: Sequence[SetupMetrics] | None = None,
 ) -> list[OptimizationStep]:
     """Hill-climb from ``start_setup`` to a local score optimum.
 
-    With ``full_metrics`` (the default mode when a full run is available),
-    normalization is fixed over that set. Without it, normalization is
-    recomputed over every setup evaluated so far, and already-visited setups
-    are never re-entered, which keeps the path finite.
+    Scores are normalized once over ``metrics``, which must hold every setup
+    the path reaches. Each step moves to the neighbor with the lowest
+    (score, cost, latency, name) if it scores strictly lower, so the path
+    never revisits a setup.
     """
     if not (0.0 <= alpha <= 1.0):
         raise AnalysisError("alpha must lie in [0, 1]")
-    cache: dict[str, SetupMetrics] = {}
-    if full_metrics is not None:
-        cache.update({m.setup_name: m for m in full_metrics})
+    by_name = {m.setup_name: m for m in metrics}
+    lat = normalize_metrics([m.latency_ms for m in by_name.values()])
+    cost = normalize_metrics([m.cost_pmi_usd for m in by_name.values()])
+    scores = {name: score(lat[i], cost[i], alpha) for i, name in enumerate(by_name)}
 
-    def measure(setup: FusionSetup) -> SetupMetrics:
-        key = setup.name
-        if key not in cache:
-            if full_metrics is not None:
-                raise AnalysisError(f"setup {key!r} missing from the metric set")
-            cache[key] = metrics_for(app, setup, pricing, platform)
-        return cache[key]
+    def key(setup: FusionSetup) -> tuple[float, float, float, str]:
+        m = by_name.get(setup.name)
+        if m is None:
+            raise AnalysisError(f"setup {setup.name!r} missing from the metric set")
+        return scores[m.setup_name], m.cost_pmi_usd, m.latency_ms, m.setup_name
 
-    def scores_for(names: Sequence[str]) -> dict[str, float]:
-        pool = list(cache.values())
-        lat = normalize_metrics([m.latency_ms for m in pool])
-        cost = normalize_metrics([m.cost_pmi_usd for m in pool])
-        table = {
-            m.setup_name: score(lat[i], cost[i], alpha) for i, m in enumerate(pool)
-        }
-        return {n: table[n] for n in names}
-
-    current = start_setup
-    measure(current)
-    visited = {current.name}
+    current, here = start_setup, key(start_setup)
     steps: list[OptimizationStep] = []
     while True:
-        neighborhood = [
-            (kind, setup)
-            for kind, setup in _neighbors(app, current)
-            if setup.name not in visited
-        ]
-        for _, setup in neighborhood:
-            measure(setup)
-        wanted = [current.name] + [s.name for _, s in neighborhood]
-        table = scores_for(wanted)
-        current_score = table[current.name]
-        best: tuple[float, float, float, str] | None = None
-        best_move: tuple[str, FusionSetup] | None = None
-        for kind, setup in neighborhood:
-            m = cache[setup.name]
-            key = (table[setup.name], m.cost_pmi_usd, m.latency_ms, setup.name)
-            if best is None or key < best:
-                best = key
-                best_move = (kind, setup)
-        if best is None or best[0] >= current_score:
+        moves = [(key(setup), kind, setup) for kind, setup in _neighbors(app, current)]
+        if not moves:
             return steps
-        kind, nxt = best_move  # type: ignore[misc]
+        best, kind, nxt = min(moves, key=itemgetter(0))
+        if best[0] >= here[0]:
+            return steps
         steps.append(
             OptimizationStep(
                 kind=kind,
                 from_setup=current.name,
                 to_setup=nxt.name,
-                score_before=current_score,
+                score_before=here[0],
                 score_after=best[0],
             )
         )
-        visited.add(nxt.name)
-        current = nxt
+        current, here = nxt, best
 
 
 def baseline_comparison(

@@ -8,6 +8,7 @@ immutable after construction and safe to share across threads or processes.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Mapping
@@ -36,9 +37,9 @@ class Task:
             raise AppValidationError(
                 f"task name {self.name!r} may not contain ',' or '+'"
             )
-        if not (self.base_work_ms > 0):
+        if not (math.isfinite(self.base_work_ms) and self.base_work_ms > 0):
             raise AppValidationError(
-                f"task {self.name!r}: base_work_ms must be positive"
+                f"task {self.name!r}: base_work_ms must be finite and positive"
             )
 
 
@@ -81,7 +82,7 @@ class AppGraph:
         return tuple(out)
 
     def undirected_pairs(self) -> tuple[tuple[str, str], ...]:
-        """Endpoint pairs of every edge, for connectivity checks."""
+        """(caller, callee) of every edge, in edge order."""
         return tuple((e.caller, e.callee) for e in self.edges)
 
     def with_base_work(self, work_ms: Mapping[str, float]) -> "AppGraph":
@@ -96,7 +97,7 @@ class AppGraph:
         return AppGraph(self.name, tasks, self.edges, self.root)
 
 
-def validate_app(app: AppGraph, require_tree: bool = True) -> AppGraph:
+def validate_app(app: AppGraph) -> AppGraph:
     """Check all AppGraph invariants, raising AppValidationError on failure."""
     names = [t.name for t in app.tasks]
     if len(set(names)) != len(names):
@@ -120,39 +121,30 @@ def validate_app(app: AppGraph, require_tree: bool = True) -> AppGraph:
 
     if incoming[app.root] != 0:
         raise AppValidationError("root task may not be called")
-    if require_tree:
-        for n, deg in incoming.items():
-            if n != app.root and deg != 1:
-                raise AppValidationError(
-                    f"task {n!r} must have exactly one caller (found {deg})"
-                )
+    for n, deg in incoming.items():
+        if n != app.root and deg != 1:
+            raise AppValidationError(
+                f"task {n!r} must have exactly one caller (found {deg})"
+            )
 
-    # Cycle check plus reachability in one walk from the root.
+    # Every task but the root has one caller, so a cycle cannot be reached
+    # from the root: a walk from it visits each reachable task once.
     children: dict[str, list[str]] = {n: [] for n in names}
     for e in app.edges:
         children[e.caller].append(e.callee)
-    state: dict[str, int] = {}
-
-    def visit(node: str, stack: tuple[str, ...]) -> None:
-        if state.get(node) == 1:
-            raise AppValidationError(
-                "directed cycle: " + " -> ".join(stack + (node,))
-            )
-        if state.get(node) == 2:
-            return
-        state[node] = 1
-        for child in children[node]:
-            visit(child, stack + (node,))
-        state[node] = 2
-
-    visit(app.root, ())
-    unreachable = [n for n in names if state.get(n) != 2]
+    reached = {app.root}
+    stack = [app.root]
+    while stack:
+        for child in children[stack.pop()]:
+            reached.add(child)
+            stack.append(child)
+    unreachable = [n for n in names if n not in reached]
     if unreachable:
         raise AppValidationError(f"unreachable task {unreachable[0]!r}")
     return app
 
 
-def parse_app(descriptor_text: str, require_tree: bool = True) -> AppGraph:
+def parse_app(descriptor_text: str) -> AppGraph:
     """Parse and validate a JSON application descriptor.
 
     Format: ``{"name", "root", "tasks": [{"name", "base_work_ms"}],
@@ -202,7 +194,7 @@ def parse_app(descriptor_text: str, require_tree: bool = True) -> AppGraph:
         per_caller[caller] = order + 1
         edges.append(CallEdge(caller, callee, mode, order))
 
-    return validate_app(AppGraph(name, tuple(tasks), tuple(edges), root), require_tree)
+    return validate_app(AppGraph(name, tuple(tasks), tuple(edges), root))
 
 
 def serialize_app(app: AppGraph) -> str:

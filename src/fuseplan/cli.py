@@ -8,6 +8,7 @@ FUSEPLAN_NO_COLOR disables ANSI styling.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -82,7 +83,7 @@ def _load_levels(ref: str | None) -> tuple[ResourceConfig, ...]:
     for entry in raw:
         try:
             cpu, memory_mb = float(entry["cpu"]), int(entry["memory_mb"])
-        except (KeyError, TypeError, ValueError):
+        except (KeyError, TypeError, ValueError, OverflowError):
             raise FusionError(f"bad level entry {entry!r}") from None
         levels.append(ResourceConfig(cpu, memory_mb))
     return tuple(levels)
@@ -147,8 +148,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.out is None:
         count = write_results_csv(rows, sys.stdout)
     else:
-        with open(args.out, "w", newline="") as handle:
-            count = write_results_csv(rows, handle)
+        # Written beside the target and moved into place only once every row
+        # is out, so a failed run leaves an existing file untouched.
+        tmp = f"{args.out}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "x", newline="") as handle:
+                count = write_results_csv(rows, handle)
+            os.replace(tmp, args.out)
+        except BaseException:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
+            raise
     print(f"{count} setups evaluated", file=sys.stderr)
     return 0
 
@@ -200,15 +210,12 @@ def _cmd_plot(args: argparse.Namespace) -> int:
             raise AnalysisError("--path requires --app")
         app = _load_app(args.app)
         levels = _load_levels(args.levels)
-        platform = _load_platform(args.platform)
         start = (
             parse_full_setup_name(app, args.start, levels)
             if args.start
             else singleton_setup(app, levels)
         )
-        steps = greedy_optimize_path(
-            app, platform, pricing, args.alpha, start, full_metrics=metrics
-        )
+        steps = greedy_optimize_path(app, metrics, args.alpha, start)
     title = f"{rows[0].app}: {len(rows)} fusion setups ({pricing.id})"
     _write_or_print(scatter_svg(metrics, title, steps), args.out)
     return 0
@@ -232,9 +239,7 @@ def _cmd_path(args: argparse.Namespace) -> int:
         if args.start
         else singleton_setup(app, levels)
     )
-    steps = greedy_optimize_path(
-        app, platform, pricing, args.alpha, start, full_metrics=metrics
-    )
+    steps = greedy_optimize_path(app, metrics, args.alpha, start)
     print(_bold(f"greedy path from {start.name} at alpha={args.alpha} ({pricing.id})"))
     if not steps:
         print("  already at a local optimum")
@@ -319,7 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, "pricing", "out")
     p.add_argument("--path", action="store_true", help="overlay a greedy path")
     p.add_argument("--app", help="app reference (needed with --path)")
-    p.add_argument("--platform", help="platform model JSON path")
     p.add_argument("--levels", help="level count or JSON path")
     p.add_argument("--alpha", type=float, default=0.5)
     p.add_argument("--start", help="starting setup name for the path")

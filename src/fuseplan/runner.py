@@ -110,22 +110,27 @@ def _partition_rows(app: AppGraph, tree, partition: FusionPartition, lanes: _Lan
                     instance: InstanceBasedPricing) -> Iterator[RunRow]:
     """Rows of every level assignment of one partition, in enumeration order."""
     cpu, memory, suffixes = lanes.of(len(partition.groups))
-    latency, instances = simulate_lanes(tree, app.root, partition, cpu, platform)
-    groups = [g for g, _, _, _ in instances]
-    usage = billed_usage(
-        [billed for _, _, _, billed in instances],
-        [cpu[g] for g in groups],
-        [memory[g] for g in groups],
-    )
-    count = len(instances)
+    # An overflow surfaces as a non-finite billed time, which the walk
+    # reports as a SimulationError, so numpy's own warnings are noise.
+    with np.errstate(all="ignore"):
+        latency, instances = simulate_lanes(tree, app.root, partition, cpu, platform)
+        groups = [g for g, _, _, _ in instances]
+        usage = billed_usage(
+            [billed for _, _, _, billed in instances],
+            [cpu[g] for g in groups],
+            [memory[g] for g in groups],
+        )
+        count = len(instances)
+        traditional_cost = price_usage(*usage, count, traditional)
+        instance_cost = price_usage(*usage, count, instance)
     cold_starts = count if platform.cold_policy is ColdPolicy.ALWAYS_COLD else 0
     prefix = canonical_name(partition) + "@"
     n = len(suffixes)
     for suffix, lat, trad, inst in zip(
         suffixes,
         _per_lane(latency, n),
-        _per_lane(price_usage(*usage, count, traditional), n),
-        _per_lane(price_usage(*usage, count, instance), n),
+        _per_lane(traditional_cost, n),
+        _per_lane(instance_cost, n),
     ):
         yield RunRow(app.name, prefix + suffix, lat, trad, inst, count, cold_starts)
 

@@ -69,10 +69,11 @@ class PlatformModel:
     billing_quantum_ms: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.net_oneway_ms < 0 or self.cold_start_ms < 0:
-            raise SimulationError("network and cold-start delays must be >= 0")
-        if not (self.billing_quantum_ms > 0):
-            raise SimulationError("billing quantum must be positive")
+        delays = (self.net_oneway_ms, self.cold_start_ms)
+        if not all(math.isfinite(d) and d >= 0 for d in delays):
+            raise SimulationError("network and cold-start delays must be finite and >= 0")
+        if not (math.isfinite(self.billing_quantum_ms) and self.billing_quantum_ms > 0):
+            raise SimulationError("billing quantum must be finite and positive")
 
     @property
     def cold_delay_ms(self) -> float:

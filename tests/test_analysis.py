@@ -216,7 +216,7 @@ def test_greedy_reaches_global_optimum_on_s2():
     )
 
     start = parse_full_setup_name(app, "A,B@0,0")
-    steps = greedy_optimize_path(app, platform, pricing, 0.5, start, full_metrics=metrics)
+    steps = greedy_optimize_path(app, metrics, 0.5, start)
     assert steps
     assert steps[-1].to_setup == best[3] == "AB@2"
     assert any(s.kind == "fusion" for s in steps)
@@ -229,17 +229,7 @@ def test_greedy_from_optimum_is_empty():
     pricing = TraditionalPricing()
     app, metrics = _s2_space(platform, pricing)
     opt = parse_full_setup_name(app, "AB@2")
-    assert greedy_optimize_path(app, platform, pricing, 0.5, opt, full_metrics=metrics) == []
-
-
-def test_greedy_visited_mode_matches_full_mode_on_s2():
-    platform = PlatformModel(5.0, 100.0, ColdPolicy.ALWAYS_COLD, 1.0)
-    pricing = TraditionalPricing()
-    app, metrics = _s2_space(platform, pricing)
-    start = parse_full_setup_name(app, "A,B@0,0")
-    full = greedy_optimize_path(app, platform, pricing, 0.5, start, full_metrics=metrics)
-    visited = greedy_optimize_path(app, platform, pricing, 0.5, start)
-    assert full[-1].to_setup == visited[-1].to_setup == "AB@2"
+    assert greedy_optimize_path(app, metrics, 0.5, opt) == []
 
 
 def test_greedy_on_linear_ends_fully_fused():
@@ -251,7 +241,7 @@ def test_greedy_on_linear_ends_fully_fused():
         for s in enumerate_setups(app, DEFAULT_LEVELS)
     ]
     start = parse_full_setup_name(app, "A,B,C,D,E@0,0,0,0,0")
-    steps = greedy_optimize_path(app, platform, pricing, 0.5, start, full_metrics=metrics)
+    steps = greedy_optimize_path(app, metrics, 0.5, start)
     assert steps
     final = steps[-1].to_setup
     assert final.split("@")[0] == "ABCDE"

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import warnings
 
 import pytest
 
@@ -303,3 +304,69 @@ def test_bad_pricing_rate_is_domain_error(tmp_path, capsys, command, config):
     extra = ["--alpha", "0.5"] if command == "path" else ["--out", str(tmp_path / "out.csv")]
     assert run_cli(command, "--app", "builtin:LINEAR", "--pricing", str(path), *extra) == 1
     _assert_one_error_line(capsys)
+
+
+def _descriptor(tmp_path, work_ms: float = 100.0, chain: int = 2):
+    path = tmp_path / "app.json"
+    names = [f"T{i}" for i in range(chain)]
+    path.write_text(json.dumps({
+        "name": "CHAIN",
+        "root": names[0],
+        "tasks": [{"name": n, "base_work_ms": work_ms} for n in names],
+        "edges": [
+            {"caller": a, "callee": b, "mode": "sync"} for a, b in zip(names, names[1:])
+        ],
+    }))
+    return path
+
+
+@pytest.mark.parametrize(
+    "option, text",
+    [
+        ("--levels", '[{"cpu": Infinity, "memory_mb": 128}]'),
+        ("--levels", '[{"cpu": 0.5, "memory_mb": Infinity}]'),
+        ("--platform", '{"billing_quantum_ms": Infinity}'),
+        ("--platform", '{"net_oneway_ms": NaN}'),
+        ("--platform", '{"cold_start_ms": -Infinity}'),
+    ],
+)
+def test_non_finite_model_input_is_domain_error(tmp_path, capsys, option, text):
+    path = tmp_path / "model.json"
+    path.write_text(text)
+    assert run_cli("run", "--app", "builtin:LINEAR", option, str(path)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and len(captured.err.strip().splitlines()) == 1
+
+
+def test_non_finite_task_work_is_domain_error(tmp_path, capsys):
+    descriptor = _descriptor(tmp_path, work_ms=float("inf"))
+    assert run_cli("run", "--app", str(descriptor)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "base_work_ms must be finite" in captured.err
+    assert len(captured.err.strip().splitlines()) == 1
+
+
+def test_failed_run_leaves_existing_out_untouched(tmp_path, capsys):
+    # Finite work that overflows at cpu 0.1: the walk reports a non-finite
+    # billed time part-way through the run.
+    descriptor = _descriptor(tmp_path, work_ms=1e308)
+    out = tmp_path / "results.csv"
+    out.write_text("keep\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli("run", "--app", str(descriptor), "--out", str(out)) == 1
+    assert caught == []
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "not finite" in err
+    assert len(err.strip().splitlines()) == 1
+    assert out.read_text() == "keep\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["app.json", "results.csv"]
+
+
+def test_heuristic_on_deep_chain(tmp_path, capsys):
+    descriptor = _descriptor(tmp_path, chain=1200)
+    assert run_cli("heuristic", "--app", str(descriptor)) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out == ["+".join(sorted(f"T{i}" for i in range(1200)))]

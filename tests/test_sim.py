@@ -189,11 +189,14 @@ def test_async_fusion_never_reduces_zero_overhead_latency(app):
 
 @pytest.mark.parametrize("levels", [DEFAULT_LEVELS[:1], DEFAULT_LEVELS])
 def test_non_finite_times_rejected(s2_sync, levels):
-    # One lane runs on floats, several on arrays; both refuse a NaN clock.
+    # One lane runs on floats, several on arrays; both refuse a clock that
+    # overflows to inf. A NaN delay is refused when the model is built.
     from fuseplan.runner import run_all
 
-    model = PlatformModel(net_oneway_ms=float("nan"))
+    with pytest.raises(SimulationError, match="finite"):
+        PlatformModel(net_oneway_ms=float("nan"))
+    app = s2_sync.with_base_work({"A": 1e308})
     with pytest.raises(SimulationError, match="not finite"):
-        list(run_all(s2_sync, levels, model))
+        list(run_all(app, levels))
     with pytest.raises(SimulationError, match="not finite"):
-        simulate(s2_sync, setup_of(s2_sync, "A,B@0,0"), model)
+        simulate(app, setup_of(app, "A,B@0,0"), PlatformModel())
