@@ -275,7 +275,7 @@ def _neighbors(app: AppGraph, setup: FusionSetup) -> list[tuple[str, FusionSetup
     old groups it overlaps.
     """
     partition = setup.partition
-    group_of = {t: i for i, g in enumerate(partition.groups) for t in g}
+    group_of = partition.group_index()
     fused = [group_of[e.caller] == group_of[e.callee] for e in app.edges]
     out: list[tuple[str, FusionSetup]] = []
     for i in range(len(fused)):

@@ -1,8 +1,9 @@
 """Application model: task DAGs with sync/async call edges.
 
 Applications are call trees: every task except the root is called by exactly
-one parent, and calls are issued in a fixed per-caller order. Graphs are
-immutable after construction and safe to share across threads or processes.
+one parent. A caller issues its calls in the order its edges appear in
+``AppGraph.edges``. Graphs are immutable after construction and safe to share
+across threads or processes.
 """
 
 from __future__ import annotations
@@ -45,18 +46,18 @@ class Task:
 
 @dataclass(frozen=True)
 class CallEdge:
-    """A call from ``caller`` to ``callee``; ``order`` ranks the caller's calls."""
+    """A call from ``caller`` to ``callee``.
+
+    A caller's calls are issued in the order of its edges in ``AppGraph.edges``.
+    """
 
     caller: str
     callee: str
     mode: CallMode
-    order: int = 0
 
     def __post_init__(self) -> None:
         if self.caller == self.callee:
             raise AppValidationError(f"self-call on task {self.caller!r}")
-        if self.order < 0:
-            raise AppValidationError("edge order must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -77,9 +78,7 @@ class AppGraph:
 
     def outgoing(self, caller: str) -> tuple[CallEdge, ...]:
         """Edges issued by ``caller``, in call order."""
-        out = [e for e in self.edges if e.caller == caller]
-        out.sort(key=lambda e: e.order)
-        return tuple(out)
+        return tuple(e for e in self.edges if e.caller == caller)
 
     def undirected_pairs(self) -> tuple[tuple[str, str], ...]:
         """(caller, callee) of every edge, in edge order."""
@@ -107,16 +106,10 @@ def validate_app(app: AppGraph) -> AppGraph:
         raise AppValidationError(f"unknown root task {app.root!r}")
 
     incoming: dict[str, int] = {n: 0 for n in names}
-    seen_orders: dict[str, set[int]] = {n: set() for n in names}
     for e in app.edges:
         for endpoint in (e.caller, e.callee):
             if endpoint not in incoming:
                 raise AppValidationError(f"unknown task {endpoint!r} in edge")
-        if e.order in seen_orders[e.caller]:
-            raise AppValidationError(
-                f"duplicate call order {e.order} on task {e.caller!r}"
-            )
-        seen_orders[e.caller].add(e.order)
         incoming[e.callee] += 1
 
     if incoming[app.root] != 0:
@@ -144,12 +137,21 @@ def validate_app(app: AppGraph) -> AppGraph:
     return app
 
 
+def _has(item: object, key: str, kind: type | tuple[type, ...]) -> bool:
+    """Whether ``item`` is a JSON object holding a ``kind`` (not a bool) at ``key``."""
+    if not isinstance(item, dict):
+        return False
+    value = item.get(key)
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 def parse_app(descriptor_text: str) -> AppGraph:
     """Parse and validate a JSON application descriptor.
 
     Format: ``{"name", "root", "tasks": [{"name", "base_work_ms"}],
-    "edges": [{"caller", "callee", "mode"}]}``. The edge array order is
-    authoritative and defines each caller's call order.
+    "edges": [{"caller", "callee", "mode"}]}``, with names and modes JSON
+    strings and ``base_work_ms`` a JSON number. A caller issues its calls in
+    the order of its edges in the array.
     """
     try:
         raw = json.loads(descriptor_text)
@@ -157,56 +159,45 @@ def parse_app(descriptor_text: str) -> AppGraph:
         raise AppValidationError(f"malformed descriptor: {exc}") from exc
     if not isinstance(raw, dict):
         raise AppValidationError("descriptor must be a JSON object")
-
-    try:
-        name = str(raw["name"])
-        root = str(raw["root"])
-        raw_tasks = raw["tasks"]
-        raw_edges = raw["edges"]
-    except KeyError as exc:
-        raise AppValidationError(f"descriptor missing field {exc.args[0]!r}") from exc
-    if not isinstance(raw_tasks, list) or not isinstance(raw_edges, list):
-        raise AppValidationError("descriptor fields 'tasks' and 'edges' must be lists")
+    for key, kind, label in (("name", str, "string"), ("root", str, "string"),
+                             ("tasks", list, "list"), ("edges", list, "list")):
+        if key not in raw:
+            raise AppValidationError(f"descriptor missing field {key!r}")
+        if not _has(raw, key, kind):
+            raise AppValidationError(f"descriptor field {key!r} must be a {label}")
 
     tasks = []
-    for item in raw_tasks:
+    for item in raw["tasks"]:
+        if not (_has(item, "name", str) and _has(item, "base_work_ms", (int, float))):
+            raise AppValidationError(f"bad task entry {item!r}")
         try:
-            tasks.append(Task(str(item["name"]), float(item["base_work_ms"])))
-        except (KeyError, TypeError, ValueError) as exc:
-            if isinstance(exc, AppValidationError):
-                raise
-            raise AppValidationError(f"bad task entry {item!r}") from exc
+            work = float(item["base_work_ms"])
+        except OverflowError:
+            raise AppValidationError(f"bad task entry {item!r}") from None
+        tasks.append(Task(item["name"], work))
 
     edges = []
-    per_caller: dict[str, int] = {}
-    for item in raw_edges:
+    for item in raw["edges"]:
+        if not all(_has(item, key, str) for key in ("caller", "callee", "mode")):
+            raise AppValidationError(f"bad edge entry {item!r}")
         try:
-            caller = str(item["caller"])
-            callee = str(item["callee"])
-            mode_text = str(item["mode"])
-        except (KeyError, TypeError) as exc:
-            raise AppValidationError(f"bad edge entry {item!r}") from exc
-        try:
-            mode = CallMode(mode_text)
+            mode = CallMode(item["mode"])
         except ValueError:
-            raise AppValidationError(f"unknown call mode {mode_text!r}") from None
-        order = per_caller.get(caller, 0)
-        per_caller[caller] = order + 1
-        edges.append(CallEdge(caller, callee, mode, order))
+            raise AppValidationError(f"unknown call mode {item['mode']!r}") from None
+        edges.append(CallEdge(item["caller"], item["callee"], mode))
 
-    return validate_app(AppGraph(name, tuple(tasks), tuple(edges), root))
+    return validate_app(AppGraph(raw["name"], tuple(tasks), tuple(edges), raw["root"]))
 
 
 def serialize_app(app: AppGraph) -> str:
     """Inverse of parse_app; edge order is preserved."""
-    ordered = app.edges
     doc = {
         "name": app.name,
         "root": app.root,
         "tasks": [{"name": t.name, "base_work_ms": t.base_work_ms} for t in app.tasks],
         "edges": [
             {"caller": e.caller, "callee": e.callee, "mode": e.mode.value}
-            for e in ordered
+            for e in app.edges
         ],
     }
     return json.dumps(doc, indent=2)
@@ -226,13 +217,8 @@ _HEAVY_MS = 400.0
 def _graph(name: str, works: dict[str, float], root: str,
            edge_list: list[tuple[str, str, CallMode]]) -> AppGraph:
     tasks = tuple(Task(n, w) for n, w in works.items())
-    per_caller: dict[str, int] = {}
-    edges = []
-    for caller, callee, mode in edge_list:
-        order = per_caller.get(caller, 0)
-        per_caller[caller] = order + 1
-        edges.append(CallEdge(caller, callee, mode, order))
-    return validate_app(AppGraph(name, tasks, tuple(edges), root))
+    edges = tuple(CallEdge(caller, callee, mode) for caller, callee, mode in edge_list)
+    return validate_app(AppGraph(name, tasks, edges, root))
 
 
 def builtin_app(name: str) -> AppGraph:

@@ -23,7 +23,7 @@ from .analysis import (
     pareto_front,
     sync_fuse_heuristic,
 )
-from .app import AppGraph, AppValidationError, builtin_app, parse_app, BUILTIN_NAMES
+from .app import AppGraph, builtin_app, parse_app, BUILTIN_NAMES
 from .fusion import (
     DEFAULT_LEVELS,
     FusionError,
@@ -35,7 +35,6 @@ from .fusion import (
 )
 from .pricing import (
     InstanceBasedPricing,
-    PricingError,
     PricingModel,
     TraditionalPricing,
     load_pricing_config,
@@ -43,17 +42,7 @@ from .pricing import (
 from .runner import metrics_from_rows, read_results_csv, run_all, write_results_csv
 from .sim import PlatformModel, ColdPolicy, SimulationError
 from .svg import scatter_svg
-from .workload import WorkloadError, calibrate_workload
-
-_DOMAIN_ERRORS = (
-    AppValidationError,
-    FusionError,
-    SimulationError,
-    PricingError,
-    AnalysisError,
-    WorkloadError,
-    ValueError,
-)
+from .workload import calibrate_workload
 
 
 def _bold(text: str) -> str:
@@ -93,11 +82,20 @@ def _load_platform(ref: str | None) -> PlatformModel:
     if ref is None:
         return PlatformModel()
     raw = json.loads(Path(ref).read_text())
+    if not isinstance(raw, dict):
+        raise SimulationError("platform JSON must be an object")
+
+    def number(key: str, default: float) -> float:
+        try:
+            return float(raw.get(key, default))
+        except (TypeError, ValueError, OverflowError):
+            raise SimulationError(f"platform {key} must be a number") from None
+
     return PlatformModel(
-        net_oneway_ms=float(raw.get("net_oneway_ms", 0.0)),
-        cold_start_ms=float(raw.get("cold_start_ms", 0.0)),
+        net_oneway_ms=number("net_oneway_ms", 0.0),
+        cold_start_ms=number("cold_start_ms", 0.0),
         cold_policy=ColdPolicy(raw.get("cold_policy", "always_cold")),
-        billing_quantum_ms=float(raw.get("billing_quantum_ms", 1.0)),
+        billing_quantum_ms=number("billing_quantum_ms", 1.0),
     )
 
 
@@ -356,7 +354,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _DOMAIN_ERRORS as exc:
+    except ValueError as exc:
+        # Every domain error (app, fusion, simulation, pricing, analysis,
+        # workload) subclasses ValueError, as do JSON decode errors.
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

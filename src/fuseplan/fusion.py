@@ -10,9 +10,11 @@ enumeration, validation and the analyses build partitions through it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from operator import attrgetter
+from dataclasses import dataclass, field
+from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .app import AppGraph, CallEdge
 
@@ -53,24 +55,26 @@ def group_name(tasks: frozenset[str]) -> str:
 
 @dataclass(frozen=True)
 class FusionPartition:
-    """Disjoint connected groups covering all tasks, in canonical order."""
+    """Disjoint connected groups covering all tasks, sorted by group name.
+
+    ``name`` is the canonical name: the group names comma-joined in that
+    order. Build partitions with ``from_groups``, which names each group once.
+    """
 
     groups: tuple[frozenset[str], ...]
+    name: str = field(compare=False)
 
     @staticmethod
     def from_groups(groups: Sequence[frozenset[str]]) -> "FusionPartition":
-        ordered = tuple(sorted((frozenset(g) for g in groups), key=group_name))
-        return FusionPartition(ordered)
+        named = sorted(((group_name(g), frozenset(g)) for g in groups), key=itemgetter(0))
+        return FusionPartition(tuple(g for _, g in named), ",".join(n for n, _ in named))
 
-    @property
-    def name(self) -> str:
-        return canonical_name(self)
+    def group_index(self) -> dict[str, int]:
+        """Each task's group index."""
+        return {t: i for i, g in enumerate(self.groups) for t in g}
 
     def group_of(self, task: str) -> int:
-        for i, g in enumerate(self.groups):
-            if task in g:
-                return i
-        raise KeyError(task)
+        return self.group_index()[task]
 
 
 @dataclass(frozen=True)
@@ -104,13 +108,13 @@ class FusionSetup:
 
 def canonical_name(partition: FusionPartition) -> str:
     """Groups named individually, sorted, and comma-joined."""
-    return ",".join(sorted(group_name(g) for g in partition.groups))
+    return partition.name
 
 
 def setup_name(setup: FusionSetup) -> str:
     """``<partition>@<levelIdx>,...`` with indices in group order."""
     idx = ",".join(str(i) for i in setup.level_indices)
-    return f"{canonical_name(setup.partition)}@{idx}"
+    return f"{setup.partition.name}@{idx}"
 
 
 def fuse(app: AppGraph, fused: Iterable[CallEdge]) -> FusionPartition:
@@ -165,7 +169,7 @@ def validate_partition(app: AppGraph, partition: FusionPartition) -> FusionParti
     if seen != names:
         missing = sorted(names - seen)
         raise FusionError(f"task {missing[0]!r} not covered")
-    group_of = {t: i for i, g in enumerate(partition.groups) for t in g}
+    group_of = partition.group_index()
     internal = [e for e in app.edges if group_of[e.caller] == group_of[e.callee]]
     induced = set(fuse(app, internal).groups)
     for g in partition.groups:
@@ -186,28 +190,31 @@ def enumerate_partitions(app: AppGraph) -> list[FusionPartition]:
     return parts
 
 
+def level_lanes(radix: int, k: int) -> np.ndarray:
+    """The level assignments of a k-group partition, in setup order.
+
+    Row g holds group g's level index in every lane; lane i writes i in base
+    ``radix`` with the first group most significant.
+    """
+    lane = np.arange(radix**k)
+    return np.stack([lane // radix ** (k - 1 - g) % radix for g in range(k)])
+
+
 def enumerate_setups(
     app: AppGraph, levels: Sequence[ResourceConfig] = DEFAULT_LEVELS
 ) -> Iterator[FusionSetup]:
     """Stream every (partition, level assignment) pair in deterministic order.
 
-    Order is partition order, then the mixed-radix counter over level indices
-    with the first group most significant.
+    Order is partition order, then the partition's level assignments in
+    ``level_lanes`` order: the first group's level is most significant.
     """
     if not levels:
         raise FusionError("level list must not be empty")
     palette = tuple(levels)
-    radix = len(palette)
     for partition in enumerate_partitions(app):
-        k = len(partition.groups)
-        for code in range(radix**k):
-            digits = []
-            rem = code
-            for _ in range(k):
-                rem, d = divmod(rem, radix)
-                digits.append(d)
-            digits.reverse()
-            yield FusionSetup(partition, tuple(digits), palette)
+        rows = level_lanes(len(palette), len(partition.groups)).tolist()
+        for digits in zip(*rows):
+            yield FusionSetup(partition, digits, palette)
 
 
 def count_setups_tree(task_count: int, level_count: int) -> int:

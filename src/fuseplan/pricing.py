@@ -12,6 +12,8 @@ import json
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .app import AppGraph
 from .fusion import FusionSetup
 from .sim import PlatformModel, SimResult, simulate
@@ -88,7 +90,10 @@ def billed_usage(billed_ms, cpu, memory_mb):
 
 
 def price_usage(gb_seconds, cpu_seconds, invocations: int, model: PricingModel):
-    """Dollar cost per one million application invocations of one usage."""
+    """Dollar cost per one million application invocations of one usage.
+
+    A cost that overflows to a non-finite value raises ``PricingError``.
+    """
     if isinstance(model, TraditionalPricing):
         per_invocation = (
             model.request_fee_usd * invocations
@@ -99,7 +104,11 @@ def price_usage(gb_seconds, cpu_seconds, invocations: int, model: PricingModel):
             cpu_seconds * model.vcpu_second_rate_usd
             + gb_seconds * model.gib_second_rate_usd
         )
-    return per_invocation * 1e6
+    cost = per_invocation * 1e6
+    finite = np.isfinite(cost).all() if isinstance(cost, np.ndarray) else math.isfinite(cost)
+    if not finite:
+        raise PricingError("cost is not finite: billed usage is too large to price")
+    return cost
 
 
 def cost_of(result: SimResult, setup: FusionSetup, model: PricingModel) -> float:
@@ -164,5 +173,5 @@ def load_pricing_config(text: str) -> PricingModel:
 def _rate(raw: dict, key: str, default: float) -> float:
     try:
         return float(raw.get(key, default))
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise PricingError(f"pricing config {key} must be a number") from None

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 from math import isfinite
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -28,8 +27,8 @@ from .fusion import (
     FusionPartition,
     FusionSetup,
     ResourceConfig,
-    canonical_name,
     enumerate_partitions,
+    level_lanes,
 )
 from .pricing import (
     InstanceBasedPricing,
@@ -67,9 +66,9 @@ class _Lanes:
     """Per-group cpu and memory over a partition's lanes, and the lanes'
     setup-name suffixes, built once per group count.
 
-    Lane i is the i-th level assignment in ``enumerate_setups`` order: a
-    mixed-radix counter with the first group most significant. One lane is
-    held as plain floats and ints, never as length-1 arrays.
+    Lanes are in ``fusion.level_lanes`` order, as ``enumerate_setups``
+    lists them. One lane is held as plain floats and ints, never as
+    length-1 arrays.
     """
 
     def __init__(self, levels: Sequence[ResourceConfig]) -> None:
@@ -84,18 +83,14 @@ class _Lanes:
         """(cpu per group, memory per group, name suffix per lane) for k groups."""
         if k not in self._by_count:
             radix = len(self.levels)
-            suffixes = [
-                ",".join(digits)
-                for digits in itertools.product([str(d) for d in range(radix)], repeat=k)
-            ]
+            digits = level_lanes(radix, k)
+            text = np.array([str(d) for d in range(radix)])[digits]
+            suffixes = [",".join(lane) for lane in zip(*text.tolist())]
             if radix == 1:
                 level = self.levels[0]
                 cpu, memory = [level.cpu] * k, [level.memory_mb] * k
             else:
-                lane = np.arange(radix**k)
-                digits = [lane // radix ** (k - 1 - g) % radix for g in range(k)]
-                cpu = [self.cpu[d] for d in digits]
-                memory = [self.memory[d] for d in digits]
+                cpu, memory = list(self.cpu[digits]), list(self.memory[digits])
             self._by_count[k] = cpu, memory, suffixes
         return self._by_count[k]
 
@@ -124,7 +119,7 @@ def _partition_rows(app: AppGraph, tree, partition: FusionPartition, lanes: _Lan
         traditional_cost = price_usage(*usage, count, traditional)
         instance_cost = price_usage(*usage, count, instance)
     cold_starts = count if platform.cold_policy is ColdPolicy.ALWAYS_COLD else 0
-    prefix = canonical_name(partition) + "@"
+    prefix = partition.name + "@"
     n = len(suffixes)
     for suffix, lat, trad, inst in zip(
         suffixes,

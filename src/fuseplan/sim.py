@@ -270,8 +270,7 @@ def simulate_lanes(tree, root: str, partition: FusionPartition, cpu: Sequence[Ti
     as a float when there is one lane. Returns the latency and, per instance
     in id order, ``(group index, start, end, billed)``.
     """
-    group_of = {name: idx for idx, group in enumerate(partition.groups) for name in group}
-    return _Walk(tree, group_of, cpu, model).run(root)
+    return _Walk(tree, partition.group_index(), cpu, model).run(root)
 
 
 def simulate(app: AppGraph, setup: FusionSetup, model: PlatformModel) -> SimResult:
@@ -280,9 +279,8 @@ def simulate(app: AppGraph, setup: FusionSetup, model: PlatformModel) -> SimResu
     covered = frozenset().union(*partition.groups)
     if covered != frozenset(app.task_names()):
         raise SimulationError("setup partition does not cover the app's tasks")
-    group_of = {name: idx for idx, group in enumerate(partition.groups) for name in group}
     cpu = [setup.config_of(g).cpu for g in range(len(partition.groups))]
-    walk = _TracedWalk(call_tree(app), group_of, cpu, model)
+    walk = _TracedWalk(call_tree(app), partition.group_index(), cpu, model)
     walk.log(0.0, "dispatch", -1, app.root)
     latency, instances = walk.run(app.root)
     names = [group_name(g) for g in partition.groups]

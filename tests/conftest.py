@@ -13,7 +13,7 @@ def two_task_app(mode: CallMode) -> AppGraph:
         AppGraph(
             "S2",
             (Task("A", 100.0), Task("B", 100.0)),
-            (CallEdge("A", "B", mode, 0),),
+            (CallEdge("A", "B", mode),),
             "A",
         )
     )
@@ -59,11 +59,8 @@ def call_trees(draw) -> AppGraph:
         for name in names
     )
     edges = []
-    per_caller: dict[str, int] = {}
     for i in range(1, n):
         caller = names[draw(st.integers(min_value=0, max_value=i - 1))]
         mode = draw(st.sampled_from([CallMode.SYNC, CallMode.ASYNC]))
-        order = per_caller.get(caller, 0)
-        per_caller[caller] = order + 1
-        edges.append(CallEdge(caller, names[i], mode, order))
+        edges.append(CallEdge(caller, names[i], mode))
     return validate_app(AppGraph("random", tasks, tuple(edges), "A"))

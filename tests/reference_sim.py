@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 from fuseplan.app import AppGraph, CallMode
-from fuseplan.fusion import FusionSetup, enumerate_setups, group_name
+from fuseplan.fusion import FusionSetup, enumerate_partitions, group_name
 from fuseplan.pricing import InstanceBasedPricing, TraditionalPricing
 from fuseplan.runner import RunRow, write_results_csv
 from fuseplan.sim import (
@@ -136,12 +136,29 @@ def reference_cost(result: SimResult, setup: FusionSetup, model) -> float:
     return per_invocation * 1e6
 
 
+def reference_setups(app: AppGraph, levels):
+    """Every setup in enumeration order: partition order, then a mixed-radix
+    counter over level indices with the first group most significant."""
+    palette = tuple(levels)
+    radix = len(palette)
+    for partition in enumerate_partitions(app):
+        k = len(partition.groups)
+        for code in range(radix**k):
+            digits = []
+            rem = code
+            for _ in range(k):
+                rem, d = divmod(rem, radix)
+                digits.append(d)
+            digits.reverse()
+            yield FusionSetup(partition, tuple(digits), palette)
+
+
 def reference_csv(app: AppGraph, levels, platform: PlatformModel,
                   traditional: TraditionalPricing = TraditionalPricing(),
                   instance: InstanceBasedPricing = InstanceBasedPricing()) -> str:
     """The results CSV built one setup at a time from the reference."""
     rows = []
-    for setup in enumerate_setups(app, levels):
+    for setup in reference_setups(app, levels):
         result = reference_simulate(app, setup, platform)
         rows.append(RunRow(
             app=app.name,

@@ -6,13 +6,19 @@ import pytest
 from hypothesis import given
 
 from fuseplan.app import (
+    AppGraph,
     AppValidationError,
+    CallEdge,
     CallMode,
+    Task,
     builtin_app,
     parse_app,
     serialize_app,
     sync_skeleton,
 )
+
+from fuseplan.fusion import singleton_setup
+from fuseplan.sim import PlatformModel, simulate
 
 from .conftest import call_trees
 
@@ -177,3 +183,20 @@ def test_serialize_round_trip(app):
 def test_builtin_round_trip(name):
     app = builtin_app(name)
     assert parse_app(serialize_app(app)) == app
+
+
+def test_edge_list_order_is_call_order():
+    # A calls C before B because that edge comes first, from the library as
+    # from JSON, so the async branch runs beside the blocking call.
+    app = AppGraph(
+        "ORDER",
+        (Task("A", 100.0), Task("B", 1000.0), Task("C", 1000.0)),
+        (CallEdge("A", "C", CallMode.ASYNC), CallEdge("A", "B", CallMode.SYNC)),
+        "A",
+    )
+    assert [e.callee for e in app.outgoing("A")] == ["C", "B"]
+    parsed = parse_app(serialize_app(app))
+    assert parsed == app
+    setup = singleton_setup(app)
+    assert simulate(parsed, setup, PlatformModel()).latency_ms == 11000.0
+    assert simulate(app, setup, PlatformModel()).latency_ms == 11000.0

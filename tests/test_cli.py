@@ -370,3 +370,38 @@ def test_heuristic_on_deep_chain(tmp_path, capsys):
     assert run_cli("heuristic", "--app", str(descriptor)) == 0
     out = capsys.readouterr().out.splitlines()
     assert out == ["+".join(sorted(f"T{i}" for i in range(1200)))]
+
+
+def test_cost_overflow_is_domain_error(tmp_path, capsys):
+    # The billed time is finite, but pricing it overflows to inf.
+    descriptor = tmp_path / "big.json"
+    descriptor.write_text(json.dumps({
+        "name": "BIG",
+        "root": "A",
+        "tasks": [{"name": n, "base_work_ms": 1e305} for n in "AB"],
+        "edges": [{"caller": "A", "callee": "B", "mode": "async"}],
+    }))
+    out = tmp_path / "results.csv"
+    assert run_cli("run", "--app", str(descriptor), "--levels", "1", "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "cost is not finite" in err
+    assert len(err.strip().splitlines()) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["big.json"]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[1]", "must be an object"),
+        ('{"net_oneway_ms": null}', "net_oneway_ms must be a number"),
+        ('{"billing_quantum_ms": [100]}', "billing_quantum_ms must be a number"),
+    ],
+)
+def test_malformed_platform_is_domain_error(tmp_path, capsys, text, message):
+    platform = tmp_path / "platform.json"
+    platform.write_text(text)
+    assert run_cli("run", "--app", "builtin:LINEAR", "--platform", str(platform)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and message in captured.err
+    assert len(captured.err.strip().splitlines()) == 1

@@ -37,11 +37,8 @@ def shuffled_call_trees(draw) -> AppGraph:
         for i in range(1, n)
     ]
     edges = []
-    per_caller: dict[str, int] = {}
     for caller, callee, mode in draw(st.permutations(links)):
-        order = per_caller.get(caller, 0)
-        per_caller[caller] = order + 1
-        edges.append(CallEdge(caller, callee, mode, order))
+        edges.append(CallEdge(caller, callee, mode))
     return validate_app(AppGraph("random", tasks, tuple(edges), "A"))
 
 

@@ -110,7 +110,7 @@ def test_canonical_name_multichar_uses_plus():
         AppGraph(
             "NAMES",
             (Task("alpha", 1.0), Task("beta", 1.0)),
-            (CallEdge("alpha", "beta", CallMode.SYNC, 0),),
+            (CallEdge("alpha", "beta", CallMode.SYNC),),
             "alpha",
         )
     )

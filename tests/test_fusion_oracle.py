@@ -17,6 +17,7 @@ from fuseplan.runner import metrics_from_rows, run_all
 
 from . import reference_fusion as reference
 from .conftest import call_trees
+from .reference_sim import reference_setups
 
 _alphas = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(min_value=0.0, max_value=1.0)
 
@@ -67,3 +68,11 @@ def test_builtin_fusion_matches_reference(name):
                         app, None, None, alpha, start, full_metrics=metrics
                     )
                 )
+
+
+@settings(max_examples=30, deadline=None)
+@given(app=call_trees(), level_count=st.integers(min_value=1, max_value=3))
+def test_setup_order_matches_reference_counter(app, level_count):
+    levels = DEFAULT_LEVELS[:level_count]
+    want = [(s.name, s.level_indices) for s in reference_setups(app, levels)]
+    assert [(s.name, s.level_indices) for s in enumerate_setups(app, levels)] == want
