@@ -100,9 +100,6 @@ class SweepReport:
             for name, count in self.partition_counts.items()
         }
 
-    def winner_at(self, alpha_index: int) -> str:
-        return self.winner_per_alpha[alpha_index]
-
     def breakpoints(self) -> list[dict]:
         """Contiguous alpha ranges with a stable winner."""
         spans: list[dict] = []

@@ -10,13 +10,69 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from enum import Enum
 from typing import Mapping
 
 
 class AppValidationError(ValueError):
     """Raised when an application descriptor or graph violates the model."""
+
+
+def check_fields(value: object, error: type[ValueError], what: str, *,
+                 strings: tuple[str, ...] = (), enums: Mapping[str, type[Enum]] = {},
+                 positive: tuple[str, ...] = (), non_negative: tuple[str, ...] = (),
+                 whole: tuple[str, ...] = ()) -> None:
+    """Check and normalize the named fields of the frozen dataclass ``value``.
+
+    Every value type applies this rule in ``__post_init__``, so JSON input and
+    library calls are checked alike. An ``enums`` field is stored as its Enum
+    member. A number must be a finite int or float that is not a bool, and is
+    stored as a float, or as an int in a ``whole`` field, which must hold a
+    whole number. ``non_negative`` fields must be >= 0 and the others > 0.
+    """
+    for name in strings:
+        if not isinstance(getattr(value, name), str):
+            raise error(f"{what} {name} must be a string")
+    for name, kind in enums.items():
+        raw = getattr(value, name)
+        try:
+            object.__setattr__(value, name, kind(raw))
+        except ValueError:
+            raise error(f"unknown {what} {name} {raw!r}") from None
+    for name in (*positive, *non_negative, *whole):
+        raw = getattr(value, name)
+        if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+            raise error(f"{what} {name} must be a number, not {type(raw).__name__}")
+        try:
+            number = float(raw)
+        except OverflowError:  # an int too large for a float
+            number = math.inf
+        zero_ok = name in non_negative
+        if not (math.isfinite(number) and (number >= 0 if zero_ok else number > 0)):
+            raise error(f"{what} {name} must be finite and {'>= 0' if zero_ok else 'positive'}")
+        if name in whole:
+            if not number.is_integer():
+                raise error(f"{what} {name} must be a whole number")
+            number = int(number)
+        object.__setattr__(value, name, number)
+
+
+def from_json(kind: type, raw: object, error: type[ValueError], what: str):
+    """Build the dataclass ``kind`` from the decoded JSON object ``raw``.
+
+    Keys that name a field are passed on, so ``kind`` checks their values;
+    other keys are ignored. A field without a default must be present.
+    """
+    if not isinstance(raw, dict):
+        raise error(f"{what} must be an object")
+    args = {}
+    for f in fields(kind):
+        if f.name in raw:
+            args[f.name] = raw[f.name]
+        elif f.default is MISSING:
+            raise error(f"{what} missing field {f.name!r}")
+    return kind(**args)
 
 
 class CallMode(str, Enum):
@@ -32,15 +88,13 @@ class Task:
     base_work_ms: float
 
     def __post_init__(self) -> None:
+        check_fields(self, AppValidationError, f"task {self.name!r}",
+                     strings=("name",), positive=("base_work_ms",))
         if not self.name:
             raise AppValidationError("task name must be non-empty")
         if "," in self.name or "+" in self.name:
             raise AppValidationError(
                 f"task name {self.name!r} may not contain ',' or '+'"
-            )
-        if not (math.isfinite(self.base_work_ms) and self.base_work_ms > 0):
-            raise AppValidationError(
-                f"task {self.name!r}: base_work_ms must be finite and positive"
             )
 
 
@@ -49,6 +103,7 @@ class CallEdge:
     """A call from ``caller`` to ``callee``.
 
     A caller's calls are issued in the order of its edges in ``AppGraph.edges``.
+    ``mode`` may be given as its string value.
     """
 
     caller: str
@@ -56,16 +111,28 @@ class CallEdge:
     mode: CallMode
 
     def __post_init__(self) -> None:
+        check_fields(self, AppValidationError, "call",
+                     strings=("caller", "callee"), enums={"mode": CallMode})
         if self.caller == self.callee:
             raise AppValidationError(f"self-call on task {self.caller!r}")
 
 
 @dataclass(frozen=True)
 class AppGraph:
+    """An application; ``calls`` maps each caller to its edges in call order."""
+
     name: str
     tasks: tuple[Task, ...]
     edges: tuple[CallEdge, ...]
     root: str
+    calls: dict[str, tuple[CallEdge, ...]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        check_fields(self, AppValidationError, "app", strings=("name", "root"))
+        calls: dict[str, list[CallEdge]] = {}
+        for e in self.edges:
+            calls.setdefault(e.caller, []).append(e)
+        object.__setattr__(self, "calls", {c: tuple(es) for c, es in calls.items()})
 
     def task_names(self) -> tuple[str, ...]:
         return tuple(t.name for t in self.tasks)
@@ -78,7 +145,7 @@ class AppGraph:
 
     def outgoing(self, caller: str) -> tuple[CallEdge, ...]:
         """Edges issued by ``caller``, in call order."""
-        return tuple(e for e in self.edges if e.caller == caller)
+        return self.calls.get(caller, ())
 
     def undirected_pairs(self) -> tuple[tuple[str, str], ...]:
         """(caller, callee) of every edge, in edge order."""
@@ -90,7 +157,7 @@ class AppGraph:
         if missing:
             raise AppValidationError(f"unknown task {missing[0]!r} in override")
         tasks = tuple(
-            replace(t, base_work_ms=float(work_ms.get(t.name, t.base_work_ms)))
+            replace(t, base_work_ms=work_ms.get(t.name, t.base_work_ms))
             for t in self.tasks
         )
         return AppGraph(self.name, tasks, self.edges, self.root)
@@ -122,27 +189,16 @@ def validate_app(app: AppGraph) -> AppGraph:
 
     # Every task but the root has one caller, so a cycle cannot be reached
     # from the root: a walk from it visits each reachable task once.
-    children: dict[str, list[str]] = {n: [] for n in names}
-    for e in app.edges:
-        children[e.caller].append(e.callee)
     reached = {app.root}
     stack = [app.root]
     while stack:
-        for child in children[stack.pop()]:
-            reached.add(child)
-            stack.append(child)
+        for e in app.outgoing(stack.pop()):
+            reached.add(e.callee)
+            stack.append(e.callee)
     unreachable = [n for n in names if n not in reached]
     if unreachable:
         raise AppValidationError(f"unreachable task {unreachable[0]!r}")
     return app
-
-
-def _has(item: object, key: str, kind: type | tuple[type, ...]) -> bool:
-    """Whether ``item`` is a JSON object holding a ``kind`` (not a bool) at ``key``."""
-    if not isinstance(item, dict):
-        return False
-    value = item.get(key)
-    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def parse_app(descriptor_text: str) -> AppGraph:
@@ -159,34 +215,17 @@ def parse_app(descriptor_text: str) -> AppGraph:
         raise AppValidationError(f"malformed descriptor: {exc}") from exc
     if not isinstance(raw, dict):
         raise AppValidationError("descriptor must be a JSON object")
-    for key, kind, label in (("name", str, "string"), ("root", str, "string"),
-                             ("tasks", list, "list"), ("edges", list, "list")):
+    for key in ("name", "root", "tasks", "edges"):
         if key not in raw:
             raise AppValidationError(f"descriptor missing field {key!r}")
-        if not _has(raw, key, kind):
-            raise AppValidationError(f"descriptor field {key!r} must be a {label}")
-
-    tasks = []
-    for item in raw["tasks"]:
-        if not (_has(item, "name", str) and _has(item, "base_work_ms", (int, float))):
-            raise AppValidationError(f"bad task entry {item!r}")
-        try:
-            work = float(item["base_work_ms"])
-        except OverflowError:
-            raise AppValidationError(f"bad task entry {item!r}") from None
-        tasks.append(Task(item["name"], work))
-
-    edges = []
-    for item in raw["edges"]:
-        if not all(_has(item, key, str) for key in ("caller", "callee", "mode")):
-            raise AppValidationError(f"bad edge entry {item!r}")
-        try:
-            mode = CallMode(item["mode"])
-        except ValueError:
-            raise AppValidationError(f"unknown call mode {item['mode']!r}") from None
-        edges.append(CallEdge(item["caller"], item["callee"], mode))
-
-    return validate_app(AppGraph(raw["name"], tuple(tasks), tuple(edges), raw["root"]))
+    for key in ("tasks", "edges"):
+        if not isinstance(raw[key], list):
+            raise AppValidationError(f"descriptor field {key!r} must be a list")
+    tasks = tuple(from_json(Task, item, AppValidationError, "task entry")
+                  for item in raw["tasks"])
+    edges = tuple(from_json(CallEdge, item, AppValidationError, "edge entry")
+                  for item in raw["edges"])
+    return validate_app(AppGraph(raw["name"], tasks, edges, raw["root"]))
 
 
 def serialize_app(app: AppGraph) -> str:

@@ -23,7 +23,7 @@ from .analysis import (
     pareto_front,
     sync_fuse_heuristic,
 )
-from .app import AppGraph, builtin_app, parse_app, BUILTIN_NAMES
+from .app import AppGraph, builtin_app, from_json, parse_app, BUILTIN_NAMES
 from .fusion import (
     DEFAULT_LEVELS,
     FusionError,
@@ -40,7 +40,7 @@ from .pricing import (
     load_pricing_config,
 )
 from .runner import metrics_from_rows, read_results_csv, run_all, write_results_csv
-from .sim import PlatformModel, ColdPolicy, SimulationError
+from .sim import PlatformModel, SimulationError
 from .svg import scatter_svg
 from .workload import calibrate_workload
 
@@ -68,35 +68,14 @@ def _load_levels(ref: str | None) -> tuple[ResourceConfig, ...]:
     raw = json.loads(Path(ref).read_text())
     if not isinstance(raw, list):
         raise FusionError("levels JSON must be a list of {cpu, memory_mb} objects")
-    levels = []
-    for entry in raw:
-        try:
-            cpu, memory_mb = float(entry["cpu"]), int(entry["memory_mb"])
-        except (KeyError, TypeError, ValueError, OverflowError):
-            raise FusionError(f"bad level entry {entry!r}") from None
-        levels.append(ResourceConfig(cpu, memory_mb))
-    return tuple(levels)
+    return tuple(from_json(ResourceConfig, entry, FusionError, "level entry") for entry in raw)
 
 
 def _load_platform(ref: str | None) -> PlatformModel:
     if ref is None:
         return PlatformModel()
-    raw = json.loads(Path(ref).read_text())
-    if not isinstance(raw, dict):
-        raise SimulationError("platform JSON must be an object")
-
-    def number(key: str, default: float) -> float:
-        try:
-            return float(raw.get(key, default))
-        except (TypeError, ValueError, OverflowError):
-            raise SimulationError(f"platform {key} must be a number") from None
-
-    return PlatformModel(
-        net_oneway_ms=number("net_oneway_ms", 0.0),
-        cold_start_ms=number("cold_start_ms", 0.0),
-        cold_policy=ColdPolicy(raw.get("cold_policy", "always_cold")),
-        billing_quantum_ms=number("billing_quantum_ms", 1.0),
-    )
+    return from_json(PlatformModel, json.loads(Path(ref).read_text()), SimulationError,
+                     "platform JSON")
 
 
 def _load_pricing(ref: str | None, default: str = "traditional") -> PricingModel:
@@ -127,13 +106,11 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     app = _load_app(args.app)
     levels = _load_levels(args.levels)
     if args.list:
-        count = 0
         for setup in enumerate_setups(app, levels):
             print(setup.name)
-            count += 1
     else:
-        count = sum(1 for _ in enumerate_setups(app, levels))
-        print(count)
+        # Every app is a call tree, so the closed form counts its setups.
+        print(count_setups_tree(len(app.tasks), len(levels)))
     return 0
 
 

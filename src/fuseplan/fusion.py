@@ -9,14 +9,13 @@ enumeration, validation and the analyses build partitions through it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .app import AppGraph, CallEdge
+from .app import AppGraph, CallEdge, check_fields
 
 
 class FusionError(ValueError):
@@ -25,16 +24,13 @@ class FusionError(ValueError):
 
 @dataclass(frozen=True)
 class ResourceConfig:
-    """One resource level: fraction of a vCPU plus memory in MB."""
+    """One resource level: fraction of a vCPU plus a whole number of MB."""
 
     cpu: float
     memory_mb: int
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.cpu) and self.cpu > 0):
-            raise FusionError("cpu must be finite and positive")
-        if not (math.isfinite(self.memory_mb) and self.memory_mb > 0):
-            raise FusionError("memory_mb must be finite and positive")
+        check_fields(self, FusionError, "level", positive=("cpu",), whole=("memory_mb",))
 
 
 # The three platform resource rows used throughout the examples.
@@ -127,9 +123,7 @@ def fuse(app: AppGraph, fused: Iterable[CallEdge]) -> FusionPartition:
     """
     # A tree edge is identified by its callee, whose name hashes cheaply.
     joined = {e.callee for e in fused}
-    calls: dict[str, list[str]] = {}
-    for e in app.edges:
-        calls.setdefault(e.caller, []).append(e.callee)
+    calls = app.calls
     # Sets, not lists: a frozenset copied from a set gets a table sized to
     # fit, which keeps 5-7 member groups at about two thirds the memory.
     groups = [{app.root}]
@@ -137,7 +131,8 @@ def fuse(app: AppGraph, fused: Iterable[CallEdge]) -> FusionPartition:
     stack = [app.root]
     while stack:
         caller = stack.pop()
-        for callee in calls.get(caller, ()):
+        for e in calls.get(caller, ()):
+            callee = e.callee
             if callee in joined:
                 group = group_of[caller]
             else:

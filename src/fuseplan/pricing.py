@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .app import AppGraph
+from .app import AppGraph, check_fields, from_json
 from .fusion import FusionSetup
 from .sim import PlatformModel, SimResult, simulate
 
@@ -32,11 +32,6 @@ class PricingError(ValueError):
     """Raised for invalid pricing configuration or mismatched inputs."""
 
 
-def _check_rates(*rates: float) -> None:
-    if not all(math.isfinite(rate) and rate >= 0 for rate in rates):
-        raise PricingError(f"rates must be finite and >= 0, got {rates}")
-
-
 @dataclass(frozen=True)
 class TraditionalPricing:
     request_fee_usd: float = DEFAULT_REQUEST_FEE_USD
@@ -45,7 +40,8 @@ class TraditionalPricing:
     id = "traditional"
 
     def __post_init__(self) -> None:
-        _check_rates(self.request_fee_usd, self.gb_second_rate_usd)
+        check_fields(self, PricingError, "pricing",
+                     non_negative=("request_fee_usd", "gb_second_rate_usd"))
 
 
 @dataclass(frozen=True)
@@ -56,7 +52,8 @@ class InstanceBasedPricing:
     id = "instance_based"
 
     def __post_init__(self) -> None:
-        _check_rates(self.vcpu_second_rate_usd, self.gib_second_rate_usd)
+        check_fields(self, PricingError, "pricing",
+                     non_negative=("vcpu_second_rate_usd", "gib_second_rate_usd"))
 
 
 PricingModel = TraditionalPricing | InstanceBasedPricing
@@ -149,7 +146,7 @@ def metrics_for(
 
 
 def load_pricing_config(text: str) -> PricingModel:
-    """Parse the pricing JSON config; irrelevant fields are ignored."""
+    """Parse the pricing JSON config; fields the model lacks are ignored."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -157,21 +154,7 @@ def load_pricing_config(text: str) -> PricingModel:
     if not isinstance(raw, dict):
         raise PricingError("pricing config must be a JSON object")
     model = raw.get("model", "traditional")
-    if model == "traditional":
-        return TraditionalPricing(
-            request_fee_usd=_rate(raw, "request_fee_usd", DEFAULT_REQUEST_FEE_USD),
-            gb_second_rate_usd=_rate(raw, "gb_second_rate_usd", DEFAULT_GB_SECOND_USD),
-        )
-    if model == "instance_based":
-        return InstanceBasedPricing(
-            vcpu_second_rate_usd=_rate(raw, "vcpu_second_rate_usd", DEFAULT_VCPU_SECOND_USD),
-            gib_second_rate_usd=_rate(raw, "gib_second_rate_usd", DEFAULT_GIB_SECOND_USD),
-        )
+    for kind in (TraditionalPricing, InstanceBasedPricing):
+        if kind.id == model:
+            return from_json(kind, raw, PricingError, "pricing config")
     raise PricingError(f"unknown pricing model {model!r}")
-
-
-def _rate(raw: dict, key: str, default: float) -> float:
-    try:
-        return float(raw.get(key, default))
-    except (TypeError, ValueError, OverflowError):
-        raise PricingError(f"pricing config {key} must be a number") from None

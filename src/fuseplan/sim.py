@@ -42,7 +42,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .app import AppGraph, CallMode, Task
+from .app import AppGraph, CallMode, Task, check_fields
 from .fusion import FusionPartition, FusionSetup, group_name
 
 
@@ -60,7 +60,8 @@ class PlatformModel:
     """Network, cold-start, and billing parameters of the simulated platform.
 
     The defaults describe an idealized zero-overhead platform; pass explicit
-    values to study network and cold-start effects.
+    values to study network and cold-start effects. ``cold_policy`` may be
+    given as its string value.
     """
 
     net_oneway_ms: float = 0.0
@@ -69,11 +70,10 @@ class PlatformModel:
     billing_quantum_ms: float = 1.0
 
     def __post_init__(self) -> None:
-        delays = (self.net_oneway_ms, self.cold_start_ms)
-        if not all(math.isfinite(d) and d >= 0 for d in delays):
-            raise SimulationError("network and cold-start delays must be finite and >= 0")
-        if not (math.isfinite(self.billing_quantum_ms) and self.billing_quantum_ms > 0):
-            raise SimulationError("billing quantum must be finite and positive")
+        check_fields(self, SimulationError, "platform",
+                     enums={"cold_policy": ColdPolicy},
+                     non_negative=("net_oneway_ms", "cold_start_ms"),
+                     positive=("billing_quantum_ms",))
 
     @property
     def cold_delay_ms(self) -> float:

@@ -17,6 +17,7 @@ from fuseplan.app import (
     sync_skeleton,
 )
 
+from fuseplan.analysis import sync_fuse_heuristic
 from fuseplan.fusion import singleton_setup
 from fuseplan.sim import PlatformModel, simulate
 
@@ -200,3 +201,50 @@ def test_edge_list_order_is_call_order():
     setup = singleton_setup(app)
     assert simulate(parsed, setup, PlatformModel()).latency_ms == 11000.0
     assert simulate(app, setup, PlatformModel()).latency_ms == 11000.0
+
+
+@pytest.mark.parametrize("name", ["PARALLEL_LINEAR", "TREE"])
+def test_string_mode_matches_enum(name):
+    app = builtin_app(name)
+    edges = tuple(CallEdge(e.caller, e.callee, e.mode.value) for e in app.edges)
+    texts = AppGraph(app.name, app.tasks, edges, app.root)
+    assert texts == app
+    assert all(type(e.mode) is CallMode for e in texts.edges)
+    assert sync_fuse_heuristic(texts).name == sync_fuse_heuristic(app).name
+    setup = singleton_setup(app)
+    model = PlatformModel(5.0, 100.0)
+    assert simulate(texts, setup, model) == simulate(app, setup, model)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Task(None, 1.0),
+        lambda: Task("A", "100"),
+        lambda: Task("A", True),
+        lambda: Task("A", [100]),
+        lambda: Task("A", 10**400),
+        lambda: CallEdge("A", 1, CallMode.SYNC),
+        lambda: CallEdge("A", "B", "maybe"),
+        lambda: AppGraph(None, (Task("A", 1.0),), (), "A"),
+    ],
+)
+def test_value_types_refuse_wrong_types(make):
+    with pytest.raises(AppValidationError):
+        make()
+
+
+def test_task_work_is_stored_as_float():
+    task = Task("A", 100)
+    assert task == Task("A", 100.0) and type(task.base_work_ms) is float
+
+
+def test_calls_follow_edge_order_without_changing_equality():
+    app = builtin_app("TREE")
+    assert {c: [e.callee for e in es] for c, es in app.calls.items()} == {
+        "A": ["C", "B"], "B": ["D"], "D": ["E"], "C": ["F", "G"],
+    }
+    assert app.outgoing("E") == ()
+    assert parse_app(serialize_app(app)) == app
+    assert hash(parse_app(serialize_app(app))) == hash(app)
+    assert "calls" not in repr(app)

@@ -395,6 +395,8 @@ def test_cost_overflow_is_domain_error(tmp_path, capsys):
         ("[1]", "must be an object"),
         ('{"net_oneway_ms": null}', "net_oneway_ms must be a number"),
         ('{"billing_quantum_ms": [100]}', "billing_quantum_ms must be a number"),
+        ('{"net_oneway_ms": "5", "cold_start_ms": true}', "net_oneway_ms must be a number"),
+        ('{"cold_start_ms": true}', "cold_start_ms must be a number"),
     ],
 )
 def test_malformed_platform_is_domain_error(tmp_path, capsys, text, message):
@@ -405,3 +407,41 @@ def test_malformed_platform_is_domain_error(tmp_path, capsys, text, message):
     assert captured.out == ""
     assert captured.err.startswith("error:") and message in captured.err
     assert len(captured.err.strip().splitlines()) == 1
+
+
+def test_failed_run_to_stdout_ends_with_one_error_line(tmp_path, capsys):
+    # Rows stream to stdout as they are evaluated, so a failed run leaves an
+    # incomplete CSV there: here the header alone, since pricing the first
+    # row overflows to inf.
+    descriptor = tmp_path / "big.json"
+    descriptor.write_text(json.dumps({
+        "name": "BIG",
+        "root": "A",
+        "tasks": [{"name": n, "base_work_ms": 1e305} for n in "AB"],
+        "edges": [{"caller": "A", "callee": "B", "mode": "async"}],
+    }))
+    assert run_cli("run", "--app", str(descriptor), "--levels", "1") == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "cost is not finite" in captured.err
+    assert len(captured.err.strip().splitlines()) == 1
+    assert captured.out.splitlines() == [",".join(RESULT_COLUMNS)]
+
+
+def _levels_file(tmp_path, memory_mb) -> str:
+    path = tmp_path / f"levels-{memory_mb}.json"
+    path.write_text(json.dumps([{"cpu": 0.1, "memory_mb": 128}, {"cpu": 0.5, "memory_mb": memory_mb}]))
+    return str(path)
+
+
+def test_level_memory_must_be_whole(tmp_path, capsys):
+    assert run_cli("run", "--app", "builtin:LINEAR", "--levels", _levels_file(tmp_path, 832.9)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "memory_mb must be a whole number" in captured.err
+    outputs = []
+    for memory_mb in (832, 832.0):
+        out = tmp_path / f"out-{memory_mb}.csv"
+        levels = _levels_file(tmp_path, memory_mb)
+        assert run_cli("run", "--app", "builtin:LINEAR", "--levels", levels, "--out", str(out)) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]

@@ -177,6 +177,21 @@ def test_singleton_setup_baseline():
     assert setup.name == "A,B,C,D,E@0,0,0,0,0"
 
 
+def test_memory_must_be_a_whole_number():
+    with pytest.raises(FusionError, match="memory_mb must be a whole number"):
+        ResourceConfig(0.5, 832.9)
+    for memory_mb in (832, 832.0):
+        level = ResourceConfig(0.5, memory_mb)
+        assert level == ResourceConfig(0.5, 832) and type(level.memory_mb) is int
+
+
+@pytest.mark.parametrize("cpu, memory_mb", [("0.5", 832), (True, 832), (0.5, "832"),
+                                            (0.5, None), (None, 832), (0.5, 0)])
+def test_level_refuses_non_numbers(cpu, memory_mb):
+    with pytest.raises(FusionError):
+        ResourceConfig(cpu, memory_mb)
+
+
 def test_default_levels_match_platform_rows():
     assert DEFAULT_LEVELS == (
         ResourceConfig(0.1, 128),

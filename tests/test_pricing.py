@@ -136,6 +136,14 @@ def test_non_finite_rates_rejected(bad):
         InstanceBasedPricing(gib_second_rate_usd=bad)
 
 
+@pytest.mark.parametrize("bad", ["1e-7", True, None, [1e-7]])
+def test_non_number_rates_rejected(bad):
+    with pytest.raises(PricingError, match="request_fee_usd must be a number"):
+        TraditionalPricing(request_fee_usd=bad)
+    with pytest.raises(PricingError, match="gib_second_rate_usd must be a number"):
+        InstanceBasedPricing(gib_second_rate_usd=bad)
+
+
 def test_load_pricing_config_variants():
     trad = load_pricing_config(
         '{"model": "traditional", "request_fee_usd": 1e-7,'

@@ -118,6 +118,34 @@ def test_always_warm_skips_cold_delay(s2_sync):
     assert all(not r.cold for r in result.invocations)
 
 
+@pytest.mark.parametrize("policy", list(ColdPolicy))
+def test_string_cold_policy_matches_enum(s2_sync, policy):
+    by_text = PlatformModel(5.0, 100.0, policy.value, 1.0)
+    by_enum = PlatformModel(5.0, 100.0, policy, 1.0)
+    assert by_text == by_enum and by_text.cold_policy is policy
+    setup = setup_of(s2_sync, "A,B@2,2")
+    text_result = simulate(s2_sync, setup, by_text)
+    enum_result = simulate(s2_sync, setup, by_enum)
+    assert text_result.latency_ms == enum_result.latency_ms
+    assert [r.cold for r in text_result.invocations] == [r.cold for r in enum_result.invocations]
+    assert text_result == enum_result
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"net_oneway_ms": "5"},
+        {"cold_start_ms": True},
+        {"billing_quantum_ms": None},
+        {"net_oneway_ms": [5]},
+        {"cold_policy": "sometimes"},
+    ],
+)
+def test_platform_refuses_wrong_types(kwargs):
+    with pytest.raises(SimulationError, match=next(iter(kwargs))):
+        PlatformModel(**kwargs)
+
+
 def test_cold_flag_set_under_always_cold(s2_sync, overhead_model):
     result = simulate(s2_sync, setup_of(s2_sync, "A,B@2,2"), overhead_model)
     assert all(r.cold for r in result.invocations)
