@@ -16,27 +16,28 @@ their sum, since IEEE rounding never reverses an order. So F scores <= D
 at every alpha, and F comes first in (cost, latency, name) order, so D is
 never the tie-broken argmin. Every dominated setup is dominated by one on
 the front, since dominance is a strict order on a finite set, and the
-front is scored in that same order. Both the front and the bounds come
-from one pass over the setups, so neither the sweep nor the front sorts
-every setup or holds more than the front's scores. All values must be
-finite: NaN breaks the ordering, so it is rejected.
+front is scored in that same order. The front comes from one sort of
+every setup by (cost, latency): only a setup earlier in that order can
+dominate a later one, so a setup is on the front exactly when it is faster
+than every setup before it, or an exact repeat of the front point before
+it (Kung, Luccio & Preparata, 1975). Only front rows become
+``SetupMetrics``. All values must be finite: NaN breaks the ordering, so it
+is rejected.
 """
 
 from __future__ import annotations
 
 import json
-import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import compress
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .app import AppGraph, sync_skeleton
 from .fusion import FusionPartition, FusionSetup, fuse
-from .pricing import SetupMetrics
+from .pricing import MetricTable, SetupMetrics
 
 
 class AnalysisError(ValueError):
@@ -59,15 +60,16 @@ class AlphaGrid:
 
 def normalize_metrics(values: Sequence[float]) -> list[float]:
     """Min-max normalization to [0, 1]; constant input maps to all zeros."""
-    if not values:
+    return _normalize(np.asarray(values, dtype=float)).tolist()
+
+
+def _normalize(values: np.ndarray, over: np.ndarray | None = None) -> np.ndarray:
+    """Min-max normalize ``values`` with the bounds of ``over`` (default: themselves)."""
+    over = values if over is None else over
+    if not len(over):
         raise AnalysisError("cannot normalize an empty list")
-    return _scale(values, min(values), max(values))
-
-
-def _scale(values: Iterable[float], lo: float, hi: float) -> list[float]:
-    if hi == lo:
-        return [0.0 for _ in values]
-    return [(v - lo) / (hi - lo) for v in values]
+    lo, hi = over.min(), over.max()
+    return np.zeros_like(values) if hi == lo else (values - lo) / (hi - lo)
 
 
 def score(latency_norm: float, cost_norm: float, alpha: float) -> float:
@@ -143,52 +145,26 @@ class SweepReport:
 _SCORES_PER_CHUNK = 1 << 20
 
 
-def _fold(
-    metrics: Iterable[SetupMetrics],
-) -> tuple[list[SetupMetrics], tuple[float, float], tuple[float, float]]:
-    """One pass over ``metrics``: the Pareto front, sorted by (cost, latency,
-    name), and the (lo, hi) bounds of latency and of cost over every setup.
-
-    The running front keeps its distinct costs ascending with strictly
-    falling latencies (Kung, Luccio & Preparata, 1975), so a new point is
-    placed by bisection, and the points it dominates follow it contiguously.
-    """
-    costs: list[float] = []
-    lats: list[float] = []
-    points: list[list[SetupMetrics]] = []
-    lat_lo = cost_lo = math.inf
-    lat_hi = cost_hi = -math.inf
-    for m in metrics:
-        lat, cost = m.latency_ms, m.cost_pmi_usd
-        if not (math.isfinite(lat) and math.isfinite(cost)):
-            raise AnalysisError(f"setup {m.setup_name!r} has a non-finite latency or cost")
-        if lat < lat_lo:
-            lat_lo = lat
-        if lat > lat_hi:
-            lat_hi = lat
-        if cost < cost_lo:
-            cost_lo = cost
-        if cost > cost_hi:
-            cost_hi = cost
-        i = bisect_right(costs, cost)
-        if i and lats[i - 1] <= lat:
-            if lats[i - 1] == lat and costs[i - 1] == cost:
-                points[i - 1].append(m)
-            continue
-        # Not dominated: replace the point at equal cost, if any, and every
-        # costlier point that is no faster.
-        j = i - 1 if i and costs[i - 1] == cost else i
-        k = i
-        while k < len(lats) and lats[k] >= lat:
-            k += 1
-        costs[j:k] = [cost]
-        lats[j:k] = [lat]
-        points[j:k] = [[m]]
-    front = []
-    for group in points:
-        group.sort(key=attrgetter("setup_name"))
-        front.extend(group)
-    return front, (lat_lo, lat_hi), (cost_lo, cost_hi)
+def _front(table: MetricTable, caller: str) -> list[SetupMetrics]:
+    """The Pareto front of ``table`` in (cost, latency, name) order; ``caller``
+    names the analysis in the error for an empty table."""
+    lat, cost = table.latency_ms, table.cost_pmi_usd
+    if not len(lat):
+        raise AnalysisError(f"{caller} needs at least one metric")
+    finite = np.isfinite(lat) & np.isfinite(cost)
+    if not finite.all():
+        name = table.setup_names[np.argmin(finite)]
+        raise AnalysisError(f"setup {name!r} has a non-finite latency or cost")
+    order = np.lexsort((lat, cost))
+    lat, cost = lat[order], cost[order]
+    faster = np.ones(len(lat), dtype=bool)
+    faster[1:] = lat[1:] < np.minimum.accumulate(lat[:-1])
+    # A repeat of the point before it is on the front when its first copy is.
+    new = np.ones(len(lat), dtype=bool)
+    new[1:] = (lat[1:] != lat[:-1]) | (cost[1:] != cost[:-1])
+    on_front = faster[new][np.cumsum(new) - 1]
+    return sorted((table[i] for i in order[on_front].tolist()),
+                  key=lambda m: (m.cost_pmi_usd, m.latency_ms, m.setup_name))
 
 
 def alpha_sweep(
@@ -202,13 +178,12 @@ def alpha_sweep(
     setup; the module docstring gives why the winners are those of scoring
     every setup.
     """
-    front, (lat_lo, lat_hi), (cost_lo, cost_hi) = _fold(metrics)
-    if not front:
-        raise AnalysisError("alpha_sweep needs at least one metric")
+    table = MetricTable.of(metrics)
+    front = _front(table, "alpha_sweep")
     # The front is in tie-break order, so argmin's first-minimum rule
     # implements the documented tie-break exactly.
-    lat = np.array(_scale([m.latency_ms for m in front], lat_lo, lat_hi))
-    cost = np.array(_scale([m.cost_pmi_usd for m in front], cost_lo, cost_hi))
+    lat = _normalize(np.array([m.latency_ms for m in front]), table.latency_ms)
+    cost = _normalize(np.array([m.cost_pmi_usd for m in front]), table.cost_pmi_usd)
     names = [m.setup_name for m in front]
     alphas = grid.values()
     rows = max(1, _SCORES_PER_CHUNK // len(front))
@@ -241,10 +216,7 @@ def pareto_front(metrics: Iterable[SetupMetrics]) -> list[SetupMetrics]:
     A setup is dominated when another is <= in both dimensions and < in at
     least one; duplicates of a non-dominated point are all kept.
     """
-    front, _, _ = _fold(metrics)
-    if not front:
-        raise AnalysisError("pareto_front needs at least one metric")
-    return front
+    return _front(MetricTable.of(metrics), "pareto_front")
 
 
 def sync_fuse_heuristic(app: AppGraph) -> FusionPartition:
@@ -309,16 +281,17 @@ def greedy_optimize_path(
     """
     if not (0.0 <= alpha <= 1.0):
         raise AnalysisError("alpha must lie in [0, 1]")
-    by_name = {m.setup_name: m for m in metrics}
-    lat = normalize_metrics([m.latency_ms for m in by_name.values()])
-    cost = normalize_metrics([m.cost_pmi_usd for m in by_name.values()])
-    scores = {name: score(lat[i], cost[i], alpha) for i, name in enumerate(by_name)}
+    table = MetricTable.of(metrics)
+    lat = _normalize(table.latency_ms)
+    cost = _normalize(table.cost_pmi_usd)
 
     def key(setup: FusionSetup) -> tuple[float, float, float, str]:
-        m = by_name.get(setup.name)
-        if m is None:
+        i = table.row_of.get(setup.name)
+        if i is None:
             raise AnalysisError(f"setup {setup.name!r} missing from the metric set")
-        return scores[m.setup_name], m.cost_pmi_usd, m.latency_ms, m.setup_name
+        m = table[i]
+        s = score(float(lat[i]), float(cost[i]), alpha)
+        return s, m.cost_pmi_usd, m.latency_ms, m.setup_name
 
     current, here = start_setup, key(start_setup)
     steps: list[OptimizationStep] = []
@@ -345,11 +318,12 @@ def baseline_comparison(
     metrics: Sequence[SetupMetrics], baseline_setup: str
 ) -> tuple[float, float]:
     """Percentage reductions of the per-dimension best versus a baseline."""
-    baseline = next((m for m in metrics if m.setup_name == baseline_setup), None)
-    if baseline is None:
+    table = MetricTable.of(metrics)
+    if baseline_setup not in table.row_of:
         raise AnalysisError(f"baseline {baseline_setup!r} missing from metrics")
-    best_latency = min(m.latency_ms for m in metrics)
-    best_cost = min(m.cost_pmi_usd for m in metrics)
+    baseline = table[table.row_of[baseline_setup]]
+    best_latency = float(table.latency_ms.min())
+    best_cost = float(table.cost_pmi_usd.min())
     lat_pct = (
         100.0 * (baseline.latency_ms - best_latency) / baseline.latency_ms
         if baseline.latency_ms > 0

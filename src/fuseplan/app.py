@@ -58,6 +58,14 @@ def check_fields(value: object, error: type[ValueError], what: str, *,
         object.__setattr__(value, name, number)
 
 
+def load_json(text: str, error: type[ValueError], what: str):
+    """Decode ``text``; malformed or too deeply nested JSON raises ``error``."""
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise error(f"malformed {what}: {exc}") from exc
+
+
 def from_json(kind: type, raw: object, error: type[ValueError], what: str):
     """Build the dataclass ``kind`` from the decoded JSON object ``raw``.
 
@@ -209,10 +217,7 @@ def parse_app(descriptor_text: str) -> AppGraph:
     strings and ``base_work_ms`` a JSON number. A caller issues its calls in
     the order of its edges in the array.
     """
-    try:
-        raw = json.loads(descriptor_text)
-    except json.JSONDecodeError as exc:
-        raise AppValidationError(f"malformed descriptor: {exc}") from exc
+    raw = load_json(descriptor_text, AppValidationError, "descriptor")
     if not isinstance(raw, dict):
         raise AppValidationError("descriptor must be a JSON object")
     for key in ("name", "root", "tasks", "edges"):

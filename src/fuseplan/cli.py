@@ -23,7 +23,7 @@ from .analysis import (
     pareto_front,
     sync_fuse_heuristic,
 )
-from .app import AppGraph, builtin_app, from_json, parse_app, BUILTIN_NAMES
+from .app import AppGraph, builtin_app, from_json, load_json, parse_app, BUILTIN_NAMES
 from .fusion import (
     DEFAULT_LEVELS,
     FusionError,
@@ -65,7 +65,7 @@ def _load_levels(ref: str | None) -> tuple[ResourceConfig, ...]:
         if not (1 <= n <= len(DEFAULT_LEVELS)):
             raise FusionError(f"--levels {n} outside 1..{len(DEFAULT_LEVELS)}")
         return DEFAULT_LEVELS[:n]
-    raw = json.loads(Path(ref).read_text())
+    raw = load_json(Path(ref).read_text(), FusionError, "levels JSON")
     if not isinstance(raw, list):
         raise FusionError("levels JSON must be a list of {cpu, memory_mb} objects")
     return tuple(from_json(ResourceConfig, entry, FusionError, "level entry") for entry in raw)
@@ -74,8 +74,8 @@ def _load_levels(ref: str | None) -> tuple[ResourceConfig, ...]:
 def _load_platform(ref: str | None) -> PlatformModel:
     if ref is None:
         return PlatformModel()
-    return from_json(PlatformModel, json.loads(Path(ref).read_text()), SimulationError,
-                     "platform JSON")
+    raw = load_json(Path(ref).read_text(), SimulationError, "platform JSON")
+    return from_json(PlatformModel, raw, SimulationError, "platform JSON")
 
 
 def _load_pricing(ref: str | None, default: str = "traditional") -> PricingModel:
@@ -177,7 +177,7 @@ def _cmd_pareto(args: argparse.Namespace) -> int:
 def _cmd_plot(args: argparse.Namespace) -> int:
     pricing = _load_pricing(args.pricing)
     rows, metrics = _read_metrics(args.results, pricing)
-    if not rows:
+    if not len(rows):
         raise AnalysisError("no data")
     steps = None
     if args.path:
@@ -191,7 +191,7 @@ def _cmd_plot(args: argparse.Namespace) -> int:
             else singleton_setup(app, levels)
         )
         steps = greedy_optimize_path(app, metrics, args.alpha, start)
-    title = f"{rows[0].app}: {len(rows)} fusion setups ({pricing.id})"
+    title = f"{rows['app'][0]}: {len(rows)} fusion setups ({pricing.id})"
     _write_or_print(scatter_svg(metrics, title, steps), args.out)
     return 0
 
@@ -207,7 +207,7 @@ def _cmd_path(args: argparse.Namespace) -> int:
     levels = _load_levels(args.levels)
     platform = _load_platform(args.platform)
     pricing = _load_pricing(args.pricing)
-    rows = list(run_all(app, levels, platform, *_run_pricings(pricing)))
+    rows = run_all(app, levels, platform, *_run_pricings(pricing))
     metrics = metrics_from_rows(rows, pricing.id)
     start = (
         parse_full_setup_name(app, args.start, levels)

@@ -8,13 +8,14 @@ defaults taken from public provider price lists.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .app import AppGraph, check_fields, from_json
+from .app import AppGraph, check_fields, from_json, load_json
 from .fusion import FusionSetup
 from .sim import PlatformModel, SimResult, simulate
 
@@ -70,6 +71,41 @@ class SetupMetrics:
     @property
     def partition_name(self) -> str:
         return self.setup_name.split("@", 1)[0]
+
+
+@dataclass(frozen=True, eq=False)
+class MetricTable(Sequence[SetupMetrics]):
+    """Latency and cost of many setups, as columns.
+
+    Indexing row ``i`` builds its ``SetupMetrics``; the analyses read the
+    columns and build one only for a row they report or visit.
+    """
+
+    setup_names: Sequence[str]
+    latency_ms: np.ndarray
+    cost_pmi_usd: np.ndarray
+
+    @classmethod
+    def of(cls, metrics: Iterable[SetupMetrics]) -> MetricTable:
+        """The table of ``metrics``, which may already be one."""
+        if isinstance(metrics, MetricTable):
+            return metrics
+        metrics = list(metrics)
+        return cls([m.setup_name for m in metrics],
+                   np.array([m.latency_ms for m in metrics], dtype=float),
+                   np.array([m.cost_pmi_usd for m in metrics], dtype=float))
+
+    def __len__(self) -> int:
+        return len(self.latency_ms)
+
+    def __getitem__(self, i: int) -> SetupMetrics:
+        return SetupMetrics(self.setup_names[i], float(self.latency_ms[i]),
+                            float(self.cost_pmi_usd[i]))
+
+    @cached_property
+    def row_of(self) -> dict[str, int]:
+        """Row of each setup name (the last, for a repeated name)."""
+        return {name: i for i, name in enumerate(self.setup_names)}
 
 
 def billed_usage(billed_ms, cpu, memory_mb):
@@ -147,10 +183,7 @@ def metrics_for(
 
 def load_pricing_config(text: str) -> PricingModel:
     """Parse the pricing JSON config; fields the model lacks are ignored."""
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise PricingError(f"malformed pricing config: {exc}") from exc
+    raw = load_json(text, PricingError, "pricing config")
     if not isinstance(raw, dict):
         raise PricingError("pricing config must be a JSON object")
     model = raw.get("model", "traditional")

@@ -8,15 +8,17 @@ partition's canonical name plus a cached level suffix. No trace is built.
 
 Rows come out in enumeration order and with repr-exact float formatting, so
 a results file is byte-identical across repeated runs and any ``jobs`` value.
+A results file is read back as one numpy structured array, one column per
+field, with no object per row.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from math import isfinite
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+import warnings
+from itertools import count, repeat
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -32,7 +34,7 @@ from .fusion import (
 )
 from .pricing import (
     InstanceBasedPricing,
-    SetupMetrics,
+    MetricTable,
     TraditionalPricing,
     billed_usage,
     cost_of,
@@ -40,19 +42,9 @@ from .pricing import (
 )
 from .sim import ColdPolicy, PlatformModel, call_tree, simulate, simulate_lanes
 
-RESULT_COLUMNS = (
-    "app",
-    "setup",
-    "latency_ms",
-    "cost_traditional_pmi",
-    "cost_instance_pmi",
-    "invocations",
-    "cold_starts",
-)
+class RunRow(NamedTuple):
+    """One results-file row; its fields are the file's columns, in order."""
 
-
-@dataclass(frozen=True)
-class RunRow:
     app: str
     setup: str
     latency_ms: float
@@ -60,6 +52,10 @@ class RunRow:
     cost_instance_pmi: float
     invocations: int
     cold_starts: int
+
+
+RESULT_COLUMNS = RunRow._fields
+RESULT_DTYPE = np.dtype(list(zip(RESULT_COLUMNS, [object] * 2 + [float] * 3 + [np.int64] * 2)))
 
 
 class _Lanes:
@@ -115,19 +111,15 @@ def _partition_rows(app: AppGraph, tree, partition: FusionPartition, lanes: _Lan
             [cpu[g] for g in groups],
             [memory[g] for g in groups],
         )
-        count = len(instances)
-        traditional_cost = price_usage(*usage, count, traditional)
-        instance_cost = price_usage(*usage, count, instance)
-    cold_starts = count if platform.cold_policy is ColdPolicy.ALWAYS_COLD else 0
+        invocations = len(instances)
+        traditional_cost = price_usage(*usage, invocations, traditional)
+        instance_cost = price_usage(*usage, invocations, instance)
+    cold_starts = invocations if platform.cold_policy is ColdPolicy.ALWAYS_COLD else 0
     prefix = partition.name + "@"
     n = len(suffixes)
-    for suffix, lat, trad, inst in zip(
-        suffixes,
-        _per_lane(latency, n),
-        _per_lane(traditional_cost, n),
-        _per_lane(instance_cost, n),
-    ):
-        yield RunRow(app.name, prefix + suffix, lat, trad, inst, count, cold_starts)
+    return map(RunRow, repeat(app.name, n), [prefix + s for s in suffixes],
+               _per_lane(latency, n), _per_lane(traditional_cost, n),
+               _per_lane(instance_cost, n), repeat(invocations), repeat(cold_starts))
 
 
 def evaluate_setup(
@@ -171,66 +163,48 @@ def run_all(
 
 
 def write_results_csv(rows: Iterable[RunRow], stream: io.TextIOBase) -> int:
-    """Write rows with stable formatting; returns the data-row count."""
+    """Write rows, floats as their ``repr`` (as ``csv`` does); returns the
+    data-row count."""
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(RESULT_COLUMNS)
-    count = 0
-    for row in rows:
-        writer.writerow(
-            [
-                row.app,
-                row.setup,
-                repr(row.latency_ms),
-                repr(row.cost_traditional_pmi),
-                repr(row.cost_instance_pmi),
-                row.invocations,
-                row.cold_starts,
-            ]
-        )
-        count += 1
-    return count
+    counter = count()
+    # zip stops on the exhausted rows before drawing from the counter, so its
+    # next value is the row count.
+    writer.writerows(row for row, _ in zip(rows, counter))
+    return next(counter)
 
 
-def read_results_csv(stream: io.TextIOBase) -> list[RunRow]:
-    """Parse a results CSV written by ``write_results_csv``.
+def read_results_csv(stream: io.TextIOBase) -> np.ndarray:
+    """Parse a results CSV written by ``write_results_csv`` into a
+    ``RESULT_DTYPE`` array.
 
     A row with the wrong field count, a number that does not parse or a
-    non-finite latency or cost raises ``ValueError`` naming its line.
-    Blank lines are skipped.
+    non-integer count raises ``ValueError`` naming its row, and a non-finite
+    latency or cost one naming its setup. Blank lines are skipped.
     """
-    reader = csv.reader(stream)
-    if tuple(next(reader, ())) != RESULT_COLUMNS:
+    if tuple(next(csv.reader([stream.readline()]), ())) != RESULT_COLUMNS:
         raise ValueError("unrecognized results CSV header")
-    width = len(RESULT_COLUMNS)
-    rows = []
-    for rec in reader:
-        if not rec:
-            continue
-        if len(rec) != width:
-            raise ValueError(
-                f"results CSV line {reader.line_num}: {len(rec)} fields, expected {width}"
-            )
-        app, setup, latency, traditional, instance, invocations, cold_starts = rec
-        try:
-            row = RunRow(app, setup, float(latency), float(traditional), float(instance),
-                         int(invocations), int(cold_starts))
-        except ValueError as exc:
-            raise ValueError(f"results CSV line {reader.line_num}: {exc}") from None
-        if not (isfinite(row.latency_ms) and isfinite(row.cost_traditional_pmi)
-                and isfinite(row.cost_instance_pmi)):
-            raise ValueError(f"results CSV line {reader.line_num}: non-finite latency or cost")
-        rows.append(row)
+    try:
+        with warnings.catch_warnings():
+            # A header-only file is an empty table; its callers say so.
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            rows = np.loadtxt(stream, delimiter=",", quotechar='"', comments=None, ndmin=1,
+                              dtype=RESULT_DTYPE)
+    except ValueError as exc:
+        raise ValueError(f"results CSV: {exc}") from None
+    finite = np.logical_and.reduce([np.isfinite(rows[c]) for c in RESULT_COLUMNS[2:5]])
+    if not finite.all():
+        setup = rows["setup"][np.argmin(finite)]
+        raise ValueError(f"results CSV: setup {setup!r} has a non-finite latency or cost")
     return rows
 
 
-def metrics_from_rows(rows: Sequence[RunRow], pricing_id: str) -> list[SetupMetrics]:
-    """Project run rows onto one pricing model's metrics."""
-    if pricing_id == "traditional":
-        return [
-            SetupMetrics(r.setup, r.latency_ms, r.cost_traditional_pmi) for r in rows
-        ]
-    if pricing_id == "instance_based":
-        return [
-            SetupMetrics(r.setup, r.latency_ms, r.cost_instance_pmi) for r in rows
-        ]
-    raise ValueError(f"unknown pricing id {pricing_id!r}")
+def metrics_from_rows(rows: Iterable[RunRow] | np.ndarray, pricing_id: str) -> MetricTable:
+    """Project run rows, or a read results array, onto one pricing model's
+    metrics; the table views the array's columns."""
+    columns = {"traditional": "cost_traditional_pmi", "instance_based": "cost_instance_pmi"}
+    if pricing_id not in columns:
+        raise ValueError(f"unknown pricing id {pricing_id!r}")
+    if not isinstance(rows, np.ndarray):
+        rows = np.array(list(rows), dtype=RESULT_DTYPE)
+    return MetricTable(rows["setup"], rows["latency_ms"], rows[columns[pricing_id]])

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .analysis import OptimizationStep, normalize_metrics
-from .pricing import SetupMetrics
+from .pricing import MetricTable, SetupMetrics
 
 _WIDTH = 640
 _HEIGHT = 480
@@ -41,10 +41,11 @@ def scatter_svg(
     path_steps: Sequence[OptimizationStep] | None = None,
 ) -> str:
     """Render the scatter (and optional path overlay) as an SVG document."""
-    if not metrics:
+    table = MetricTable.of(metrics)
+    if not len(table):
         raise ValueError("no data")
-    cost_n = normalize_metrics([m.cost_pmi_usd for m in metrics])
-    lat_n = normalize_metrics([m.latency_ms for m in metrics])
+    cost_n = normalize_metrics(table.cost_pmi_usd)
+    lat_n = normalize_metrics(table.latency_ms)
     span_x = _WIDTH - 2 * _MARGIN
     span_y = _HEIGHT - 2 * _MARGIN
 
@@ -79,11 +80,12 @@ def scatter_svg(
         )
 
     if path_steps:
-        pos = {m.setup_name: (cost_n[i], lat_n[i]) for i, m in enumerate(metrics)}
+        row_of = table.row_of
         for step in path_steps:
-            if step.from_setup not in pos or step.to_setup not in pos:
+            if step.from_setup not in row_of or step.to_setup not in row_of:
                 continue
-            (x1, y1), (x2, y2) = pos[step.from_setup], pos[step.to_setup]
+            i, j = row_of[step.from_setup], row_of[step.to_setup]
+            x1, y1, x2, y2 = cost_n[i], lat_n[i], cost_n[j], lat_n[j]
             parts.append(
                 f'<line class="step-{step.kind}" '
                 f'x1="{_fmt(px(x1))}" y1="{_fmt(py(y1))}" '

@@ -445,3 +445,22 @@ def test_level_memory_must_be_whole(tmp_path, capsys):
         assert run_cli("run", "--app", "builtin:LINEAR", "--levels", levels, "--out", str(out)) == 0
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("heuristic", "--app"),
+        ("run", "--app", "builtin:LINEAR", "--levels"),
+        ("run", "--app", "builtin:LINEAR", "--platform"),
+        ("run", "--app", "builtin:LINEAR", "--pricing"),
+    ],
+)
+def test_deeply_nested_json_is_domain_error(tmp_path, capsys, argv):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    assert run_cli(*argv, str(deep)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: malformed")
+    assert len(captured.err.splitlines()) == 1
