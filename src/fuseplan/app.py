@@ -26,14 +26,15 @@ def check_fields(value: object, error: type[ValueError], what: str, *,
     """Check and normalize the named fields of the frozen dataclass ``value``.
 
     Every value type applies this rule in ``__post_init__``, so JSON input and
-    library calls are checked alike. An ``enums`` field is stored as its Enum
-    member. A number must be a finite int or float that is not a bool, and is
-    stored as a float, or as an int in a ``whole`` field, which must hold a
-    whole number. ``non_negative`` fields must be >= 0 and the others > 0.
+    library calls are checked alike. A ``strings`` field must be a printable
+    str. An ``enums`` field is stored as its Enum member. A number must be a
+    finite int or float that is not a bool, and is stored as a float, or as
+    an int in a ``whole`` field, which must hold a whole number.
+    ``non_negative`` fields must be >= 0 and the others > 0.
     """
     for name in strings:
-        if not isinstance(getattr(value, name), str):
-            raise error(f"{what} {name} must be a string")
+        if not (isinstance(raw := getattr(value, name), str) and raw.isprintable()):
+            raise error(f"{what} {name} must be a printable string")
     for name, kind in enums.items():
         raw = getattr(value, name)
         try:
@@ -98,12 +99,8 @@ class Task:
     def __post_init__(self) -> None:
         check_fields(self, AppValidationError, f"task {self.name!r}",
                      strings=("name",), positive=("base_work_ms",))
-        if not self.name:
-            raise AppValidationError("task name must be non-empty")
-        if "," in self.name or "+" in self.name:
-            raise AppValidationError(
-                f"task name {self.name!r} may not contain ',' or '+'"
-            )
+        if not self.name or any(c in self.name for c in ",+@"):
+            raise AppValidationError(f"task name {self.name!r} is empty or holds ',', '+' or '@'")
 
 
 @dataclass(frozen=True)

@@ -41,20 +41,18 @@ DEFAULT_LEVELS: tuple[ResourceConfig, ...] = (
 )
 
 
-def group_name(tasks: frozenset[str]) -> str:
-    """Canonical name of one group: members sorted, '+'-joined if multi-char."""
-    members = sorted(tasks)
-    if any(len(m) > 1 for m in members):
-        return "+".join(members)
-    return "".join(members)
+def group_separator(tasks: Iterable[str]) -> str:
+    """The group-member separator of an app: "+" if any task name is multi-char."""
+    return "+" if any(len(t) > 1 for t in tasks) else ""
 
 
 @dataclass(frozen=True)
 class FusionPartition:
     """Disjoint connected groups covering all tasks, sorted by group name.
 
-    ``name`` is the canonical name: the group names comma-joined in that
-    order. Build partitions with ``from_groups``, which names each group once.
+    ``name`` is the group names comma-joined, so ``name.split(",")`` lists
+    them in group order. ``from_groups`` names each group
+    ``sep.join(sorted(group))``, with one ``group_separator`` for all groups.
     """
 
     groups: tuple[frozenset[str], ...]
@@ -62,15 +60,13 @@ class FusionPartition:
 
     @staticmethod
     def from_groups(groups: Sequence[frozenset[str]]) -> "FusionPartition":
-        named = sorted(((group_name(g), frozenset(g)) for g in groups), key=itemgetter(0))
+        sep = group_separator(t for g in groups for t in g)
+        named = sorted(((sep.join(sorted(g)), frozenset(g)) for g in groups), key=itemgetter(0))
         return FusionPartition(tuple(g for _, g in named), ",".join(n for n, _ in named))
 
     def group_index(self) -> dict[str, int]:
         """Each task's group index."""
         return {t: i for i, g in enumerate(self.groups) for t in g}
-
-    def group_of(self, task: str) -> int:
-        return self.group_index()[task]
 
 
 @dataclass(frozen=True)
@@ -97,14 +93,9 @@ class FusionSetup:
 
     def assignment(self) -> dict[str, ResourceConfig]:
         return {
-            group_name(g): self.config_of(i)
-            for i, g in enumerate(self.partition.groups)
+            name: self.config_of(i)
+            for i, name in enumerate(self.partition.name.split(","))
         }
-
-
-def canonical_name(partition: FusionPartition) -> str:
-    """Groups named individually, sorted, and comma-joined."""
-    return partition.name
 
 
 def setup_name(setup: FusionSetup) -> str:
@@ -167,9 +158,9 @@ def validate_partition(app: AppGraph, partition: FusionPartition) -> FusionParti
     group_of = partition.group_index()
     internal = [e for e in app.edges if group_of[e.caller] == group_of[e.callee]]
     induced = set(fuse(app, internal).groups)
-    for g in partition.groups:
+    for g, name in zip(partition.groups, partition.name.split(",")):
         if g not in induced:
-            raise FusionError(f"group {group_name(g)!r} not connected")
+            raise FusionError(f"group {name!r} not connected")
     return partition
 
 
@@ -220,14 +211,12 @@ def count_setups_tree(task_count: int, level_count: int) -> int:
 
 
 def parse_setup_name(app: AppGraph, name: str) -> FusionPartition:
-    """Inverse of canonical_name (the part before any '@')."""
-    partition_text = name.split("@", 1)[0]
-    groups: list[frozenset[str]] = []
-    for chunk in partition_text.split(","):
-        if not chunk:
-            raise FusionError(f"empty group in {name!r}")
-        members = chunk.split("+") if "+" in chunk else list(chunk)
-        groups.append(frozenset(members))
+    """Inverse of ``FusionPartition.name`` (up to any '@'), on the app's separator."""
+    chunks = name.split("@", 1)[0].split(",")
+    if "" in chunks:
+        raise FusionError(f"empty group in {name!r}")
+    sep = group_separator(app.task_names())
+    groups = [frozenset(chunk.split(sep) if sep else chunk) for chunk in chunks]
     return validate_partition(app, FusionPartition.from_groups(groups))
 
 

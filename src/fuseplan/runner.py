@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import io
 import warnings
-from itertools import count, repeat
+from itertools import count, islice, repeat
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -178,8 +178,8 @@ def read_results_csv(stream: io.TextIOBase) -> np.ndarray:
     """Parse a results CSV written by ``write_results_csv`` into a
     ``RESULT_DTYPE`` array.
 
-    A row with the wrong field count, a number that does not parse or a
-    non-integer count raises ``ValueError`` naming its row, and a non-finite
+    A bad field count, number or count raises ``ValueError`` naming its file
+    line (a seekable ``stream`` is reread from 0 to find it), and a non-finite
     latency or cost one naming its setup. Blank lines are skipped.
     """
     if tuple(next(csv.reader([stream.readline()]), ())) != RESULT_COLUMNS:
@@ -191,12 +191,32 @@ def read_results_csv(stream: io.TextIOBase) -> np.ndarray:
             rows = np.loadtxt(stream, delimiter=",", quotechar='"', comments=None, ndmin=1,
                               dtype=RESULT_DTYPE)
     except ValueError as exc:
+        if stream.seekable():
+            # numpy counts data rows, not file lines: find the line in a rescan.
+            stream.seek(0)
+            reader = csv.reader(stream)
+            for fields in islice(reader, 1, None):
+                if fields and (fault := _row_fault(fields)):
+                    raise ValueError(f"results CSV line {reader.line_num}: {fault}") from None
         raise ValueError(f"results CSV: {exc}") from None
     finite = np.logical_and.reduce([np.isfinite(rows[c]) for c in RESULT_COLUMNS[2:5]])
     if not finite.all():
         setup = rows["setup"][np.argmin(finite)]
         raise ValueError(f"results CSV: setup {setup!r} has a non-finite latency or cost")
     return rows
+
+
+def _row_fault(fields: list[str]) -> str | None:
+    """Why ``np.loadtxt`` refuses a results row, or None."""
+    if len(fields) != len(RESULT_COLUMNS):
+        return f"{len(fields)} fields, expected {len(RESULT_COLUMNS)}"
+    for column, text in zip(RESULT_COLUMNS[2:], fields[2:]):
+        try:
+            # Python's parsers, unlike numpy's, accept digit separators.
+            np.array(text.replace("_", " ")).astype(RESULT_DTYPE[column])
+        except (ValueError, OverflowError):
+            return f"bad {'count' if column in RESULT_COLUMNS[5:] else 'number'} {text!r} for {column}"
+    return None
 
 
 def metrics_from_rows(rows: Iterable[RunRow] | np.ndarray, pricing_id: str) -> MetricTable:

@@ -43,7 +43,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .app import AppGraph, CallMode, Task, check_fields
-from .fusion import FusionPartition, FusionSetup, group_name
+from .fusion import FusionPartition, FusionSetup
 
 
 class SimulationError(ValueError):
@@ -283,7 +283,7 @@ def simulate(app: AppGraph, setup: FusionSetup, model: PlatformModel) -> SimResu
     walk = _TracedWalk(call_tree(app), partition.group_index(), cpu, model)
     walk.log(0.0, "dispatch", -1, app.root)
     latency, instances = walk.run(app.root)
-    names = [group_name(g) for g in partition.groups]
+    names = partition.name.split(",")
     cold = model.cold_policy is ColdPolicy.ALWAYS_COLD
     records = tuple(
         InvocationRecord(names[g], i, start, end, billed, cold)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from typing import Sequence
+
 import pytest
 from hypothesis import strategies as st
 
@@ -50,10 +52,17 @@ def setup_of(app: AppGraph, name: str):
 
 
 @st.composite
-def call_trees(draw) -> AppGraph:
-    """Random small call trees with mixed modes and positive work."""
-    n = draw(st.integers(min_value=1, max_value=6))
-    names = [chr(ord("A") + i) for i in range(n)]
+def call_trees(draw, pool: Sequence[str] = ()) -> AppGraph:
+    """Random small call trees with mixed modes and positive work.
+
+    Tasks are named A, B, C, ..., or, given a ``pool``, by up to five
+    distinct names drawn from it; the first task is the root.
+    """
+    if pool:
+        names = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=5, unique=True))
+    else:
+        names = [chr(ord("A") + i) for i in range(draw(st.integers(1, 6)))]
+    n = len(names)
     tasks = tuple(
         Task(name, draw(st.floats(min_value=1.0, max_value=500.0)))
         for name in names
@@ -63,4 +72,4 @@ def call_trees(draw) -> AppGraph:
         caller = names[draw(st.integers(min_value=0, max_value=i - 1))]
         mode = draw(st.sampled_from([CallMode.SYNC, CallMode.ASYNC]))
         edges.append(CallEdge(caller, names[i], mode))
-    return validate_app(AppGraph("random", tasks, tuple(edges), "A"))
+    return validate_app(AppGraph("random", tasks, tuple(edges), names[0]))

@@ -77,8 +77,9 @@ def _neighbors(app: AppGraph, setup: FusionSetup) -> list[tuple[str, FusionSetup
     palette = setup.levels
     pairs = app.undirected_pairs()
 
+    group_of = partition.group_index()
     for a, b in pairs:
-        ga, gb = partition.group_of(a), partition.group_of(b)
+        ga, gb = group_of[a], group_of[b]
         if ga == gb:
             continue
         merged = partition.groups[ga] | partition.groups[gb]

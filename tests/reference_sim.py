@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 from fuseplan.app import AppGraph, CallMode
-from fuseplan.fusion import FusionSetup, enumerate_partitions, group_name
+from fuseplan.fusion import FusionSetup, enumerate_partitions
 from fuseplan.pricing import InstanceBasedPricing, TraditionalPricing
 from fuseplan.runner import RunRow, write_results_csv
 from fuseplan.sim import (
@@ -65,7 +65,7 @@ class _Run:
         billed = _round_up(t - start, self.model.billing_quantum_ms)
         self.records.append(
             InvocationRecord(
-                group=group_name(self.setup.partition.groups[gidx]),
+                group=self.setup.partition.name.split(",")[gidx],
                 instance_id=instance_id,
                 start_ms=start,
                 end_ms=t,

@@ -21,7 +21,6 @@ from fuseplan.fusion import (
     FusionSetup,
     enumerate_partitions,
     enumerate_setups,
-    group_name,
 )
 from fuseplan.pricing import InstanceBasedPricing, TraditionalPricing, cost_of
 from fuseplan.runner import metrics_from_rows, run_all
@@ -127,7 +126,8 @@ def test_criterion_4_traditional_tree_structure():
 
 
 def _merge(partition: FusionPartition, a: str, b: str) -> FusionPartition:
-    ga, gb = partition.group_of(a), partition.group_of(b)
+    group_of = partition.group_index()
+    ga, gb = group_of[a], group_of[b]
     kept = [g for i, g in enumerate(partition.groups) if i not in (ga, gb)]
     kept.append(partition.groups[ga] | partition.groups[gb])
     return FusionPartition.from_groups(kept)
@@ -143,8 +143,9 @@ def test_criterion_5_invariant_suite():
     app = builtin_app("LINEAR")
     sync_checks = 0
     for p in enumerate_partitions(app):
+        p_group = p.group_index()
         for a, b in app.undirected_pairs():
-            if p.group_of(a) == p.group_of(b):
+            if p_group[a] == p_group[b]:
                 continue
             q = _merge(p, a, b)
             for level in (0, 1, 2):
@@ -152,8 +153,8 @@ def test_criterion_5_invariant_suite():
                 sq = FusionSetup(q, tuple(level for _ in q.groups), DEFAULT_LEVELS)
                 rp, rq = simulate(app, sp, model), simulate(app, sq, model)
                 assert rp.latency_ms - rq.latency_ms == saving
-                caller = group_name(p.groups[p.group_of(a)])
-                merged = group_name(q.groups[q.group_of(a)])
+                caller = p.name.split(",")[p_group[a]]
+                merged = q.name.split(",")[q.group_index()[a]]
                 billed_p = {r.group: r.billed_ms for r in rp.invocations}
                 billed_q = {r.group: r.billed_ms for r in rq.invocations}
                 assert billed_p[caller] - billed_q[merged] == saving
@@ -167,10 +168,11 @@ def test_criterion_5_invariant_suite():
     for name in ("ASYNC", "TREE", "PARALLEL_LINEAR"):
         appx = builtin_app(name)
         for p in enumerate_partitions(appx):
+            p_group = p.group_index()
             for e in appx.edges:
                 if e.mode is not CallMode.ASYNC:
                     continue
-                if p.group_of(e.caller) == p.group_of(e.callee):
+                if p_group[e.caller] == p_group[e.callee]:
                     continue
                 q = _merge(p, e.caller, e.callee)
                 for level in (0, 2):

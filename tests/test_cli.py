@@ -269,23 +269,29 @@ def _assert_one_error_line(capsys) -> None:
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
 
-@pytest.mark.parametrize(
-    "row",
-    [
-        "x,a@0,1.0",
-        "x,a@0,1.0,2.0,3.0,1,0,extra",
-        "x,a@0,nan,2.0,3.0,1,0",
-        "x,a@0,1.0,inf,3.0,1,0",
-        "x,a@0,1.0,2.0,-inf,1,0",
-        "x,a@0,1.0,2.0,3.0,1.5,0",
-    ],
-)
+# Each bad row, as the third line of a results file, and its error message.
+MALFORMED_ROWS = {
+    "x,a@0,1.0": "results CSV line 3: 3 fields, expected 7",
+    "x,a@0,1.0,2.0,3.0,1,0,extra": "results CSV line 3: 8 fields, expected 7",
+    "x,a@0,nan,2.0,3.0,1,0": "results CSV: setup 'a@0' has a non-finite latency or cost",
+    "x,a@0,1.0,inf,3.0,1,0": "results CSV: setup 'a@0' has a non-finite latency or cost",
+    "x,a@0,1.0,2.0,-inf,1,0": "results CSV: setup 'a@0' has a non-finite latency or cost",
+    "x,a@0,1.0,2.0,3.0,1.5,0": "results CSV line 3: bad count '1.5' for invocations",
+    "x,a@0,1_0,2.0,3.0,1,0": "results CSV line 3: bad number '1_0' for latency_ms",
+    "x,a@0,1.0,2.0,3.0,1,99999999999999999999":
+        "results CSV line 3: bad count '99999999999999999999' for cold_starts",
+    # A blank line is skipped but still counted.
+    "\nx,a@0,1.0": "results CSV line 4: 3 fields, expected 7",
+}
+
+
+@pytest.mark.parametrize("row", MALFORMED_ROWS)
 @pytest.mark.parametrize("command", ["sweep", "pareto"])
 def test_malformed_results_row_is_domain_error(tmp_path, capsys, command, row):
     results = tmp_path / "bad.csv"
     results.write_text(",".join(RESULT_COLUMNS) + "\nx,b@0,2.0,2.0,3.0,1,0\n" + row + "\n")
     assert run_cli(command, "--results", str(results), "--pricing", "traditional") == 1
-    _assert_one_error_line(capsys)
+    assert capsys.readouterr().err == f"error: {MALFORMED_ROWS[row]}\n"
 
 
 @pytest.mark.parametrize(
@@ -463,4 +469,32 @@ def test_deeply_nested_json_is_domain_error(tmp_path, capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: malformed")
+    assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "field, name, message",
+    [
+        ("task", "A@1", "holds ',', '+' or '@'"),
+        ("task", "a\rb", "must be a printable string"),
+        ("task", "a\tb", "must be a printable string"),
+        ("app", "a\rb", "must be a printable string"),
+        ("app", "a\tb", "must be a printable string"),
+    ],
+)
+@pytest.mark.parametrize("command", ["heuristic", "run"])
+def test_reserved_or_control_character_in_name_is_domain_error(
+        tmp_path, capsys, command, field, name, message):
+    root = name if field == "task" else "A"
+    descriptor = tmp_path / "app.json"
+    descriptor.write_text(json.dumps({
+        "name": name if field == "app" else "APP",
+        "root": root,
+        "tasks": [{"name": n, "base_work_ms": 100.0} for n in (root, "B")],
+        "edges": [{"caller": root, "callee": "B", "mode": "sync"}],
+    }))
+    assert run_cli(command, "--app", str(descriptor)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and message in captured.err
     assert len(captured.err.splitlines()) == 1

@@ -3,7 +3,7 @@ from __future__ import annotations
 import itertools
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings, strategies as st
 
 from fuseplan.app import AppGraph, CallEdge, CallMode, Task, builtin_app, validate_app
 from fuseplan.fusion import (
@@ -11,7 +11,6 @@ from fuseplan.fusion import (
     FusionError,
     FusionPartition,
     ResourceConfig,
-    canonical_name,
     count_setups_tree,
     enumerate_partitions,
     enumerate_setups,
@@ -19,8 +18,15 @@ from fuseplan.fusion import (
     parse_setup_name,
     singleton_setup,
 )
+from fuseplan.pricing import InstanceBasedPricing, TraditionalPricing
+from fuseplan.runner import evaluate_setup, run_all
+from fuseplan.sim import PlatformModel
 
 from .conftest import call_trees
+
+# One-letter names beside their concatenations: fused A and B must not be
+# named like the task AB.
+MIXED_NAMES = ("R", "A", "B", "AB", "BA", "RA", "ABR")
 
 
 def oracle_partitions(app) -> set[frozenset[frozenset[str]]]:
@@ -99,10 +105,10 @@ def test_canonical_name_examples():
     p = FusionPartition.from_groups(
         [frozenset("ABDE"), frozenset("C"), frozenset("F"), frozenset("G")]
     )
-    assert canonical_name(p) == "ABDE,C,F,G"
+    assert p.name == "ABDE,C,F,G"
     singles = FusionPartition.from_groups([frozenset(c) for c in "ABCDE"])
-    assert canonical_name(singles) == "A,B,C,D,E"
-    assert canonical_name(FusionPartition.from_groups([frozenset("ABCDE")])) == "ABCDE"
+    assert singles.name == "A,B,C,D,E"
+    assert FusionPartition.from_groups([frozenset("ABCDE")]).name == "ABCDE"
 
 
 def test_canonical_name_multichar_uses_plus():
@@ -115,8 +121,11 @@ def test_canonical_name_multichar_uses_plus():
         )
     )
     p = FusionPartition.from_groups([frozenset({"alpha", "beta"})])
-    assert canonical_name(p) == "alpha+beta"
+    assert p.name == "alpha+beta"
     assert parse_setup_name(app, "alpha+beta") == p
+    # One multi-char task puts '+' in every group of the partition.
+    mixed = FusionPartition.from_groups([frozenset("R"), frozenset("AB"), frozenset({"AB"})])
+    assert mixed.name == "A+B,AB,R"
 
 
 def test_parse_setup_name_examples():
@@ -143,7 +152,7 @@ def test_round_trip_all_enumerated_partitions():
     for name in ("LINEAR", "TREE", "ASYNC"):
         app = builtin_app(name)
         for p in enumerate_partitions(app):
-            assert parse_setup_name(app, canonical_name(p)) == p
+            assert parse_setup_name(app, p.name) == p
 
 
 def test_enumeration_order_stable():
@@ -219,4 +228,20 @@ def test_enumerated_partitions_are_valid(app):
             covered |= g
         assert covered == names
         # validation re-checks connectivity
-        parse_setup_name(app, canonical_name(p))
+        parse_setup_name(app, p.name)
+
+
+@settings(deadline=None)
+@given(call_trees(MIXED_NAMES), st.integers(1, len(DEFAULT_LEVELS)))
+def test_mixed_length_names_are_unique_and_parse_back(app, level_count):
+    levels = DEFAULT_LEVELS[:level_count]
+    setups = list(enumerate_setups(app, levels))
+    names = [s.name for s in setups]
+    assert len(set(names)) == len(names)
+    for setup in setups:
+        assert parse_full_setup_name(app, setup.name, levels) == setup
+    platform = PlatformModel(net_oneway_ms=5.0, cold_start_ms=100.0)
+    pricings = TraditionalPricing(), InstanceBasedPricing()
+    rows = list(run_all(app, levels, platform, *pricings))
+    for i in range(0, len(setups), max(1, len(setups) // 16)):
+        assert evaluate_setup(app, setups[i], platform, *pricings) == rows[i]

@@ -103,9 +103,8 @@ def test_remote_calls_count_cross_group_edges(name, overhead_model):
     app = builtin_app(name)
     for p in enumerate_partitions(app):
         setup = FusionSetup(p, tuple(1 for _ in p.groups), DEFAULT_LEVELS)
-        cross = sum(
-            1 for a, b in app.undirected_pairs() if p.group_of(a) != p.group_of(b)
-        )
+        group_of = p.group_index()
+        cross = sum(1 for a, b in app.undirected_pairs() if group_of[a] != group_of[b])
         result = simulate(app, setup, overhead_model)
         assert result.remote_calls == 1 + cross
 
