@@ -33,7 +33,8 @@ def check_fields(value: object, error: type[ValueError], what: str, *,
     ``non_negative`` fields must be >= 0 and the others > 0.
     """
     for name in strings:
-        if not (isinstance(raw := getattr(value, name), str) and raw.isprintable()):
+        raw = getattr(value, name)
+        if not (isinstance(raw, str) and raw.isprintable()):
             raise error(f"{what} {name} must be a printable string")
     for name, kind in enums.items():
         raw = getattr(value, name)
@@ -99,8 +100,10 @@ class Task:
     def __post_init__(self) -> None:
         check_fields(self, AppValidationError, f"task {self.name!r}",
                      strings=("name",), positive=("base_work_ms",))
-        if not self.name or any(c in self.name for c in ",+@"):
-            raise AppValidationError(f"task name {self.name!r} is empty or holds ',', '+' or '@'")
+        if not self.name:
+            raise AppValidationError("task name must be non-empty")
+        if any(c in self.name for c in ",+@"):
+            raise AppValidationError(f"task name {self.name!r} may not contain ',', '+' or '@'")
 
 
 @dataclass(frozen=True)

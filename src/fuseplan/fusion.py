@@ -166,7 +166,7 @@ def validate_partition(app: AppGraph, partition: FusionPartition) -> FusionParti
 
 def enumerate_partitions(app: AppGraph) -> list[FusionPartition]:
     """All partitions into connected groups, one per edge subset, sorted by
-    canonical name."""
+    ``name``."""
     edges = app.edges
     parts = [
         fuse(app, [e for bit, e in enumerate(edges) if mask >> bit & 1])

@@ -4,7 +4,7 @@ Evaluation is partition-major. Setups that share a partition share their
 whole control flow, so each partition is simulated once, with every level
 assignment as one lane of a numpy array (``sim.simulate_lanes``), and priced
 per lane in instance order as ``pricing.cost_of`` does. Setup names are the
-partition's canonical name plus a cached level suffix. No trace is built.
+partition's ``name`` plus a cached level suffix. No trace is built.
 
 Rows come out in enumeration order and with repr-exact float formatting, so
 a results file is byte-identical across repeated runs and any ``jobs`` value.
@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import io
 import warnings
-from itertools import count, islice, repeat
+from itertools import count, repeat
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -184,21 +184,19 @@ def read_results_csv(stream: io.TextIOBase) -> np.ndarray:
     """
     if tuple(next(csv.reader([stream.readline()]), ())) != RESULT_COLUMNS:
         raise ValueError("unrecognized results CSV header")
-    try:
-        with warnings.catch_warnings():
-            # A header-only file is an empty table; its callers say so.
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            rows = np.loadtxt(stream, delimiter=",", quotechar='"', comments=None, ndmin=1,
-                              dtype=RESULT_DTYPE)
-    except ValueError as exc:
-        if stream.seekable():
-            # numpy counts data rows, not file lines: find the line in a rescan.
-            stream.seek(0)
-            reader = csv.reader(stream)
-            for fields in islice(reader, 1, None):
-                if fields and (fault := _row_fault(fields)):
-                    raise ValueError(f"results CSV line {reader.line_num}: {fault}") from None
-        raise ValueError(f"results CSV: {exc}") from None
+    with warnings.catch_warnings():
+        # A header-only file is an empty table; its callers say so.
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        try:
+            rows = _loadtxt(stream, RESULT_DTYPE)
+        except ValueError as exc:
+            if stream.seekable():
+                # numpy counts data rows, not file lines: find the line in a rescan.
+                stream.seek(0)
+                for line_num, line in enumerate(stream, 1):
+                    if line_num > 1 and (fault := _line_fault(line)):
+                        raise ValueError(f"results CSV line {line_num}: {fault}") from None
+            raise ValueError(f"results CSV: {exc}") from None
     finite = np.logical_and.reduce([np.isfinite(rows[c]) for c in RESULT_COLUMNS[2:5]])
     if not finite.all():
         setup = rows["setup"][np.argmin(finite)]
@@ -206,16 +204,27 @@ def read_results_csv(stream: io.TextIOBase) -> np.ndarray:
     return rows
 
 
-def _row_fault(fields: list[str]) -> str | None:
-    """Why ``np.loadtxt`` refuses a results row, or None."""
+def _loadtxt(lines: Iterable[str], dtype: np.dtype | type, **kwargs) -> np.ndarray:
+    return np.loadtxt(lines, delimiter=",", quotechar='"', comments=None, ndmin=1,
+                      dtype=dtype, **kwargs)
+
+
+def _line_fault(line: str) -> str | None:
+    """Why ``np.loadtxt`` refuses one results line, or None. Names are
+    printable, so a row is one line; its fields and then each number column
+    are loaded alone to name the fault."""
+    try:
+        _loadtxt([line], RESULT_DTYPE)
+        return None
+    except ValueError:
+        fields = _loadtxt([line], object)
     if len(fields) != len(RESULT_COLUMNS):
         return f"{len(fields)} fields, expected {len(RESULT_COLUMNS)}"
-    for column, text in zip(RESULT_COLUMNS[2:], fields[2:]):
+    for i, column in enumerate(RESULT_COLUMNS[2:], 2):
         try:
-            # Python's parsers, unlike numpy's, accept digit separators.
-            np.array(text.replace("_", " ")).astype(RESULT_DTYPE[column])
-        except (ValueError, OverflowError):
-            return f"bad {'count' if column in RESULT_COLUMNS[5:] else 'number'} {text!r} for {column}"
+            _loadtxt([line], RESULT_DTYPE[column], usecols=i)
+        except ValueError:
+            return f"bad {'count' if i > 4 else 'number'} {fields[i]!r} for {column}"
     return None
 
 

@@ -278,6 +278,8 @@ MALFORMED_ROWS = {
     "x,a@0,1.0,2.0,-inf,1,0": "results CSV: setup 'a@0' has a non-finite latency or cost",
     "x,a@0,1.0,2.0,3.0,1.5,0": "results CSV line 3: bad count '1.5' for invocations",
     "x,a@0,1_0,2.0,3.0,1,0": "results CSV line 3: bad number '1_0' for latency_ms",
+    # Python's float() takes both of these; numpy, which reads the file, does not.
+    "x,a@0,1.0,\u0661,3.0,1,0": "results CSV line 3: bad number '\u0661' for cost_traditional_pmi",
     "x,a@0,1.0,2.0,3.0,1,99999999999999999999":
         "results CSV line 3: bad count '99999999999999999999' for cold_starts",
     # A blank line is skipped but still counted.
@@ -475,7 +477,7 @@ def test_deeply_nested_json_is_domain_error(tmp_path, capsys, argv):
 @pytest.mark.parametrize(
     "field, name, message",
     [
-        ("task", "A@1", "holds ',', '+' or '@'"),
+        ("task", "A@1", "may not contain ',', '+' or '@'"),
         ("task", "a\rb", "must be a printable string"),
         ("task", "a\tb", "must be a printable string"),
         ("app", "a\rb", "must be a printable string"),

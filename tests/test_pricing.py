@@ -67,6 +67,7 @@ def test_metrics_for_fused_pair(s2_sync):
     assert metrics.latency_ms == 305.0
     assert math.isclose(metrics.cost_pmi_usd, 5.9585, rel_tol=1e-3)
     assert metrics.setup_name == "AB@2"
+    assert metrics.partition_name == "AB"
 
 
 def test_zero_rate_model_costs_nothing(s2_sync, zero_model):
