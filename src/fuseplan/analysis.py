@@ -28,6 +28,7 @@ is rejected.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from itertools import compress
 from operator import itemgetter
@@ -36,7 +37,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .app import AppGraph, sync_skeleton
-from .fusion import FusionPartition, FusionSetup, fuse
+from .fusion import FusionPartition, FusionSetup, fuse, split_setup_name
 from .pricing import MetricTable, SetupMetrics
 
 
@@ -194,12 +195,10 @@ def alpha_sweep(
         scores = chunk * lat[None, :] + (1.0 - chunk) * cost[None, :]
         winners.extend(names[i] for i in np.argmin(scores, axis=1).tolist())
 
-    coverage_counts: dict[str, int] = {}
-    partition_counts: dict[str, int] = {}
-    for name in winners:
-        coverage_counts[name] = coverage_counts.get(name, 0) + 1
-        part = name.split("@", 1)[0]
-        partition_counts[part] = partition_counts.get(part, 0) + 1
+    coverage_counts = Counter(winners)
+    partition_counts: Counter[str] = Counter()
+    for name, count in coverage_counts.items():
+        partition_counts[split_setup_name(name)[0]] += count
     return SweepReport(
         pricing_model_id=pricing_model_id,
         steps=grid.steps,

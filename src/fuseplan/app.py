@@ -1,9 +1,9 @@
 """Application model: task DAGs with sync/async call edges.
 
 Applications are call trees: every task except the root is called by exactly
-one parent. A caller issues its calls in the order its edges appear in
-``AppGraph.edges``. Graphs are immutable after construction and safe to share
-across threads or processes.
+one parent, which ``AppGraph`` checks when it is built. A caller issues its
+calls in the order its edges appear in ``AppGraph.edges``. Graphs are
+immutable after construction and safe to share across threads or processes.
 """
 
 from __future__ import annotations
@@ -127,7 +127,8 @@ class CallEdge:
 
 @dataclass(frozen=True)
 class AppGraph:
-    """An application; ``calls`` maps each caller to its edges in call order."""
+    """An application; ``calls`` maps each caller to its edges in call order.
+    Construction raises ``AppValidationError`` unless the graph is a call tree."""
 
     name: str
     tasks: tuple[Task, ...]
@@ -142,14 +143,42 @@ class AppGraph:
             calls.setdefault(e.caller, []).append(e)
         object.__setattr__(self, "calls", {c: tuple(es) for c, es in calls.items()})
 
+        names = [t.name for t in self.tasks]
+        if len(set(names)) != len(names):
+            dup = next(n for n in names if names.count(n) > 1)
+            raise AppValidationError(f"duplicate task name {dup!r}")
+        if self.root not in names:
+            raise AppValidationError(f"unknown root task {self.root!r}")
+
+        incoming: dict[str, int] = {n: 0 for n in names}
+        for e in self.edges:
+            for endpoint in (e.caller, e.callee):
+                if endpoint not in incoming:
+                    raise AppValidationError(f"unknown task {endpoint!r} in edge")
+            incoming[e.callee] += 1
+
+        if incoming[self.root] != 0:
+            raise AppValidationError("root task may not be called")
+        for n, deg in incoming.items():
+            if n != self.root and deg != 1:
+                raise AppValidationError(
+                    f"task {n!r} must have exactly one caller (found {deg})"
+                )
+
+        # Every task but the root has one caller, so a cycle cannot be reached
+        # from the root: a walk from it visits each reachable task once.
+        reached = {self.root}
+        stack = [self.root]
+        while stack:
+            for e in self.outgoing(stack.pop()):
+                reached.add(e.callee)
+                stack.append(e.callee)
+        unreachable = [n for n in names if n not in reached]
+        if unreachable:
+            raise AppValidationError(f"unreachable task {unreachable[0]!r}")
+
     def task_names(self) -> tuple[str, ...]:
         return tuple(t.name for t in self.tasks)
-
-    def task(self, name: str) -> Task:
-        for t in self.tasks:
-            if t.name == name:
-                return t
-        raise KeyError(name)
 
     def outgoing(self, caller: str) -> tuple[CallEdge, ...]:
         """Edges issued by ``caller``, in call order."""
@@ -169,44 +198,6 @@ class AppGraph:
             for t in self.tasks
         )
         return AppGraph(self.name, tasks, self.edges, self.root)
-
-
-def validate_app(app: AppGraph) -> AppGraph:
-    """Check all AppGraph invariants, raising AppValidationError on failure."""
-    names = [t.name for t in app.tasks]
-    if len(set(names)) != len(names):
-        dup = next(n for n in names if names.count(n) > 1)
-        raise AppValidationError(f"duplicate task name {dup!r}")
-    if app.root not in names:
-        raise AppValidationError(f"unknown root task {app.root!r}")
-
-    incoming: dict[str, int] = {n: 0 for n in names}
-    for e in app.edges:
-        for endpoint in (e.caller, e.callee):
-            if endpoint not in incoming:
-                raise AppValidationError(f"unknown task {endpoint!r} in edge")
-        incoming[e.callee] += 1
-
-    if incoming[app.root] != 0:
-        raise AppValidationError("root task may not be called")
-    for n, deg in incoming.items():
-        if n != app.root and deg != 1:
-            raise AppValidationError(
-                f"task {n!r} must have exactly one caller (found {deg})"
-            )
-
-    # Every task but the root has one caller, so a cycle cannot be reached
-    # from the root: a walk from it visits each reachable task once.
-    reached = {app.root}
-    stack = [app.root]
-    while stack:
-        for e in app.outgoing(stack.pop()):
-            reached.add(e.callee)
-            stack.append(e.callee)
-    unreachable = [n for n in names if n not in reached]
-    if unreachable:
-        raise AppValidationError(f"unreachable task {unreachable[0]!r}")
-    return app
 
 
 def parse_app(descriptor_text: str) -> AppGraph:
@@ -230,7 +221,7 @@ def parse_app(descriptor_text: str) -> AppGraph:
                   for item in raw["tasks"])
     edges = tuple(from_json(CallEdge, item, AppValidationError, "edge entry")
                   for item in raw["edges"])
-    return validate_app(AppGraph(raw["name"], tasks, edges, raw["root"]))
+    return AppGraph(raw["name"], tasks, edges, raw["root"])
 
 
 def serialize_app(app: AppGraph) -> str:
@@ -262,7 +253,7 @@ def _graph(name: str, works: dict[str, float], root: str,
            edge_list: list[tuple[str, str, CallMode]]) -> AppGraph:
     tasks = tuple(Task(n, w) for n, w in works.items())
     edges = tuple(CallEdge(caller, callee, mode) for caller, callee, mode in edge_list)
-    return validate_app(AppGraph(name, tasks, edges, root))
+    return AppGraph(name, tasks, edges, root)
 
 
 def builtin_app(name: str) -> AppGraph:

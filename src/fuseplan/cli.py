@@ -236,8 +236,6 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 
 
 def _cmd_apps(args: argparse.Namespace) -> int:
-    if args.action != "list":
-        raise AnalysisError(f"unknown apps action {args.action!r}")
     for name in BUILTIN_NAMES:
         app = builtin_app(name)
         n_sync = sum(1 for e in app.edges if e.mode.value == "sync")

@@ -5,11 +5,14 @@ edges. A fusion setup adds one resource level per group. On a call tree a
 partition is exactly a subset of fused edges: a task shares its caller's
 group iff their edge is fused. ``fuse`` builds the partition of one subset;
 enumeration, validation and the analyses build partitions through it.
+``LevelLanes`` holds the level assignments of every group count, and this
+module alone writes and splits the ``@`` of a setup name.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, Sequence
 
@@ -100,8 +103,53 @@ class FusionSetup:
 
 def setup_name(setup: FusionSetup) -> str:
     """``<partition>@<levelIdx>,...`` with indices in group order."""
-    idx = ",".join(str(i) for i in setup.level_indices)
-    return f"{setup.partition.name}@{idx}"
+    return setup.partition.name + _level_suffix(map(str, setup.level_indices))
+
+
+def _level_suffix(index_texts: Iterable[str]) -> str:
+    return "@" + ",".join(index_texts)
+
+
+def split_setup_name(name: str) -> tuple[str, str | None]:
+    """A setup name's partition text and level text, split at its first '@';
+    the level text is None when there is no '@'."""
+    partition_text, at, level_text = name.partition("@")
+    return partition_text, level_text if at else None
+
+
+class LevelLanes:
+    """The level assignments of a k-group setup over one level palette,
+    built once per group count k.
+
+    Lane i writes i in base R (R levels) with the first group's level most
+    significant; this is the order of a partition's setups everywhere.
+    """
+
+    def __init__(self, levels: Sequence[ResourceConfig]) -> None:
+        if not levels:
+            raise FusionError("level list must not be empty")
+        self.levels = tuple(levels)
+        self._by_count: dict[int, tuple] = {}
+
+    def of(self, k: int) -> tuple[list[tuple[int, ...]], list[str], list, list]:
+        """(level indices per lane, setup-name suffix per lane, cpu per group,
+        memory per group) for k groups. A group's cpu and memory are arrays
+        over the lanes, or plain numbers when there is one lane."""
+        if k not in self._by_count:
+            radix = len(self.levels)
+            # itertools.product and np.indices in C order both count in base R
+            # with the first group most significant.
+            indices = list(product(range(radix), repeat=k))
+            digit_texts = [str(d) for d in range(radix)]
+            suffixes = list(map(_level_suffix, product(digit_texts, repeat=k)))
+            if radix == 1:
+                cpu, memory = [self.levels[0].cpu] * k, [self.levels[0].memory_mb] * k
+            else:
+                digits = np.indices((radix,) * k).reshape(k, -1)
+                cpu = list(np.array([lv.cpu for lv in self.levels])[digits])
+                memory = list(np.array([lv.memory_mb for lv in self.levels], float)[digits])
+            self._by_count[k] = indices, suffixes, cpu, memory
+        return self._by_count[k]
 
 
 def fuse(app: AppGraph, fused: Iterable[CallEdge]) -> FusionPartition:
@@ -176,31 +224,15 @@ def enumerate_partitions(app: AppGraph) -> list[FusionPartition]:
     return parts
 
 
-def level_lanes(radix: int, k: int) -> np.ndarray:
-    """The level assignments of a k-group partition, in setup order.
-
-    Row g holds group g's level index in every lane; lane i writes i in base
-    ``radix`` with the first group most significant.
-    """
-    lane = np.arange(radix**k)
-    return np.stack([lane // radix ** (k - 1 - g) % radix for g in range(k)])
-
-
 def enumerate_setups(
     app: AppGraph, levels: Sequence[ResourceConfig] = DEFAULT_LEVELS
 ) -> Iterator[FusionSetup]:
-    """Stream every (partition, level assignment) pair in deterministic order.
-
-    Order is partition order, then the partition's level assignments in
-    ``level_lanes`` order: the first group's level is most significant.
-    """
-    if not levels:
-        raise FusionError("level list must not be empty")
-    palette = tuple(levels)
+    """Stream every (partition, level assignment) pair in deterministic order:
+    partition order, then the partition's ``LevelLanes`` order."""
+    lanes = LevelLanes(levels)
     for partition in enumerate_partitions(app):
-        rows = level_lanes(len(palette), len(partition.groups)).tolist()
-        for digits in zip(*rows):
-            yield FusionSetup(partition, digits, palette)
+        for indices in lanes.of(len(partition.groups))[0]:
+            yield FusionSetup(partition, indices, lanes.levels)
 
 
 def count_setups_tree(task_count: int, level_count: int) -> int:
@@ -212,7 +244,7 @@ def count_setups_tree(task_count: int, level_count: int) -> int:
 
 def parse_setup_name(app: AppGraph, name: str) -> FusionPartition:
     """Inverse of ``FusionPartition.name`` (up to any '@'), on the app's separator."""
-    chunks = name.split("@", 1)[0].split(",")
+    chunks = split_setup_name(name)[0].split(",")
     if "" in chunks:
         raise FusionError(f"empty group in {name!r}")
     sep = group_separator(app.task_names())
@@ -223,16 +255,16 @@ def parse_setup_name(app: AppGraph, name: str) -> FusionPartition:
 def parse_full_setup_name(
     app: AppGraph, name: str, levels: Sequence[ResourceConfig] = DEFAULT_LEVELS
 ) -> FusionSetup:
-    """Parse ``<partition>@<levelIdx>,...``; levels default to all zero."""
-    partition_text, _, level_text = name.partition("@")
+    """Parse ``<partition>@<levelIdx>,...``, each index ASCII digits as
+    ``setup_name`` writes them; without '@' every group is at level 0."""
+    partition_text, level_text = split_setup_name(name)
     partition = parse_setup_name(app, partition_text)
-    if level_text:
-        try:
-            indices = tuple(int(x) for x in level_text.split(","))
-        except ValueError:
-            raise FusionError(f"bad level indices in {name!r}") from None
+    if level_text is None:
+        indices = (0,) * len(partition.groups)
+    elif all(d.isascii() and d.isdigit() for d in level_text.split(",")):
+        indices = tuple(map(int, level_text.split(",")))
     else:
-        indices = tuple(0 for _ in partition.groups)
+        raise FusionError(f"bad level indices in {name!r}")
     return FusionSetup(partition, indices, tuple(levels))
 
 

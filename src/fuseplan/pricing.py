@@ -68,10 +68,6 @@ class SetupMetrics:
     latency_ms: float
     cost_pmi_usd: float
 
-    @property
-    def partition_name(self) -> str:
-        return self.setup_name.split("@", 1)[0]
-
 
 @dataclass(frozen=True, eq=False)
 class MetricTable(Sequence[SetupMetrics]):

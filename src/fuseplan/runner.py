@@ -3,8 +3,8 @@
 Evaluation is partition-major. Setups that share a partition share their
 whole control flow, so each partition is simulated once, with every level
 assignment as one lane of a numpy array (``sim.simulate_lanes``), and priced
-per lane in instance order as ``pricing.cost_of`` does. Setup names are the
-partition's ``name`` plus a cached level suffix. No trace is built.
+per lane in instance order as ``pricing.cost_of`` does. ``fusion.LevelLanes``
+gives each lane's cpu, memory and setup-name suffix. No trace is built.
 
 Rows come out in enumeration order and with repr-exact float formatting, so
 a results file is byte-identical across repeated runs and any ``jobs`` value.
@@ -25,12 +25,11 @@ import numpy as np
 from .app import AppGraph
 from .fusion import (
     DEFAULT_LEVELS,
-    FusionError,
     FusionPartition,
     FusionSetup,
+    LevelLanes,
     ResourceConfig,
     enumerate_partitions,
-    level_lanes,
 )
 from .pricing import (
     InstanceBasedPricing,
@@ -58,49 +57,16 @@ RESULT_COLUMNS = RunRow._fields
 RESULT_DTYPE = np.dtype(list(zip(RESULT_COLUMNS, [object] * 2 + [float] * 3 + [np.int64] * 2)))
 
 
-class _Lanes:
-    """Per-group cpu and memory over a partition's lanes, and the lanes'
-    setup-name suffixes, built once per group count.
-
-    Lanes are in ``fusion.level_lanes`` order, as ``enumerate_setups``
-    lists them. One lane is held as plain floats and ints, never as
-    length-1 arrays.
-    """
-
-    def __init__(self, levels: Sequence[ResourceConfig]) -> None:
-        if not levels:
-            raise FusionError("level list must not be empty")
-        self.levels = tuple(levels)
-        self.cpu = np.array([lv.cpu for lv in self.levels], dtype=float)
-        self.memory = np.array([lv.memory_mb for lv in self.levels], dtype=float)
-        self._by_count: dict[int, tuple] = {}
-
-    def of(self, k: int) -> tuple[list, list, list[str]]:
-        """(cpu per group, memory per group, name suffix per lane) for k groups."""
-        if k not in self._by_count:
-            radix = len(self.levels)
-            digits = level_lanes(radix, k)
-            text = np.array([str(d) for d in range(radix)])[digits]
-            suffixes = [",".join(lane) for lane in zip(*text.tolist())]
-            if radix == 1:
-                level = self.levels[0]
-                cpu, memory = [level.cpu] * k, [level.memory_mb] * k
-            else:
-                cpu, memory = list(self.cpu[digits]), list(self.memory[digits])
-            self._by_count[k] = cpu, memory, suffixes
-        return self._by_count[k]
-
-
 def _per_lane(values, lanes: int) -> list:
     # tolist() turns float64 into Python floats, so repr() prints them plainly.
     return values.tolist() if isinstance(values, np.ndarray) else [values] * lanes
 
 
-def _partition_rows(app: AppGraph, tree, partition: FusionPartition, lanes: _Lanes,
+def _partition_rows(app: AppGraph, tree, partition: FusionPartition, lanes: LevelLanes,
                     platform: PlatformModel, traditional: TraditionalPricing,
                     instance: InstanceBasedPricing) -> Iterator[RunRow]:
     """Rows of every level assignment of one partition, in enumeration order."""
-    cpu, memory, suffixes = lanes.of(len(partition.groups))
+    _, suffixes, cpu, memory = lanes.of(len(partition.groups))
     # An overflow surfaces as a non-finite billed time, which the walk
     # reports as a SimulationError, so numpy's own warnings are noise.
     with np.errstate(all="ignore"):
@@ -115,7 +81,7 @@ def _partition_rows(app: AppGraph, tree, partition: FusionPartition, lanes: _Lan
         traditional_cost = price_usage(*usage, invocations, traditional)
         instance_cost = price_usage(*usage, invocations, instance)
     cold_starts = invocations if platform.cold_policy is ColdPolicy.ALWAYS_COLD else 0
-    prefix = partition.name + "@"
+    prefix = partition.name
     n = len(suffixes)
     return map(RunRow, repeat(app.name, n), [prefix + s for s in suffixes],
                _per_lane(latency, n), _per_lane(traditional_cost, n),
@@ -156,7 +122,7 @@ def run_all(
     partitions over a process pool measured slower at every benchmarked size,
     since pool start-up and shipping rows back cost more than the walks.
     """
-    lanes = _Lanes(levels)
+    lanes = LevelLanes(levels)
     tree = call_tree(app)
     for partition in enumerate_partitions(app):
         yield from _partition_rows(app, tree, partition, lanes, platform, traditional, instance)

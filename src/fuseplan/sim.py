@@ -27,7 +27,7 @@ Control flow never depends on timings: which instances exist, their spawn
 order and the tasks each runs follow from the partition alone. So one walk of
 the call tree serves every level assignment of a partition at once. Each time
 is a Python float when there is one assignment (lane), or a numpy array over
-the lanes in ``enumerate_setups`` order; every lane sees the same float
+the lanes in ``fusion.LevelLanes`` order; every lane sees the same float
 operations in the same order as a one-lane walk, so results are bit-identical
 either way. ``simulate`` is the one-lane walk that also records the trace;
 ``simulate_lanes`` walks all lanes of a partition and records none.

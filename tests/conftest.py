@@ -5,19 +5,17 @@ from typing import Sequence
 import pytest
 from hypothesis import strategies as st
 
-from fuseplan.app import AppGraph, CallEdge, CallMode, Task, validate_app
+from fuseplan.app import AppGraph, CallEdge, CallMode, Task
 from fuseplan.fusion import DEFAULT_LEVELS, parse_full_setup_name
 from fuseplan.sim import ColdPolicy, PlatformModel
 
 
 def two_task_app(mode: CallMode) -> AppGraph:
-    return validate_app(
-        AppGraph(
-            "S2",
-            (Task("A", 100.0), Task("B", 100.0)),
-            (CallEdge("A", "B", mode),),
-            "A",
-        )
+    return AppGraph(
+        "S2",
+        (Task("A", 100.0), Task("B", 100.0)),
+        (CallEdge("A", "B", mode),),
+        "A",
     )
 
 
@@ -72,4 +70,4 @@ def call_trees(draw, pool: Sequence[str] = ()) -> AppGraph:
         caller = names[draw(st.integers(min_value=0, max_value=i - 1))]
         mode = draw(st.sampled_from([CallMode.SYNC, CallMode.ASYNC]))
         edges.append(CallEdge(caller, names[i], mode))
-    return validate_app(AppGraph("random", tasks, tuple(edges), names[0]))
+    return AppGraph("random", tasks, tuple(edges), names[0])

@@ -77,7 +77,7 @@ class _Run:
 
     def run_chain(self, task_name: str, t: float, instance_id: int, gidx: int,
                   cpu: float, queue: list[str]) -> float:
-        task = self.app.task(task_name)
+        task = next(task for task in self.app.tasks if task.name == task_name)
         self.log(t, "task_start", instance_id, task_name)
         t += task_duration(task, cpu)
         self.log(t, "task_end", instance_id, task_name)

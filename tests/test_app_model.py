@@ -169,8 +169,7 @@ def test_sync_skeleton_tree():
 
 def test_with_base_work_override():
     app = builtin_app("LINEAR").with_base_work({"A": 42.0})
-    assert app.task("A").base_work_ms == 42.0
-    assert app.task("B").base_work_ms == 100.0
+    assert [t.base_work_ms for t in app.tasks] == [42.0, 100.0, 100.0, 100.0, 100.0]
     with pytest.raises(AppValidationError, match="unknown task"):
         app.with_base_work({"Z": 1.0})
 
@@ -232,6 +231,22 @@ def test_string_mode_matches_enum(name):
 def test_value_types_refuse_wrong_types(make):
     with pytest.raises(AppValidationError):
         make()
+
+
+@pytest.mark.parametrize(
+    "names, edges, message",
+    [
+        ("AB", (), r"task 'B' must have exactly one caller \(found 0\)"),
+        ("ABC", ("AB", "AC", "BC"), r"task 'C' must have exactly one caller \(found 2\)"),
+    ],
+)
+def test_app_graph_must_be_a_call_tree(names, edges, message):
+    # Built in Python, not parsed: the constructor itself refuses a graph
+    # with an uncalled task or a task with two callers.
+    tasks = tuple(Task(n, 100.0) for n in names)
+    calls = tuple(CallEdge(a, b, CallMode.SYNC) for a, b in edges)
+    with pytest.raises(AppValidationError, match=message):
+        AppGraph("x", tasks, calls, "A")
 
 
 def test_task_work_is_stored_as_float():

@@ -197,6 +197,16 @@ def test_path_command_reports_steps(capsys):
     assert "ABCDE" in out
 
 
+@pytest.mark.parametrize("start", ["ABCDE@ 1", "ABCDE@\u0661", "ABCDE@+1", "ABCDE@", "ABCDE@1_0"])
+def test_path_start_takes_only_written_level_text(capsys, start):
+    # One ASCII-digit index per group after '@', as setup names are written.
+    assert run_cli("path", "--app", "builtin:LINEAR", "--start", start) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: bad level indices in")
+    assert len(captured.err.splitlines()) == 1
+
+
 def test_calibrate_prime_verdict(capsys):
     assert run_cli("calibrate", "--exponent", "3") == 0
     assert "verdict prime" in capsys.readouterr().out

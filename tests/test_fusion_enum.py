@@ -5,11 +5,12 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fuseplan.app import AppGraph, CallEdge, CallMode, Task, builtin_app, validate_app
+from fuseplan.app import AppGraph, CallEdge, CallMode, Task, builtin_app
 from fuseplan.fusion import (
     DEFAULT_LEVELS,
     FusionError,
     FusionPartition,
+    LevelLanes,
     ResourceConfig,
     count_setups_tree,
     enumerate_partitions,
@@ -17,6 +18,7 @@ from fuseplan.fusion import (
     parse_full_setup_name,
     parse_setup_name,
     singleton_setup,
+    split_setup_name,
 )
 from fuseplan.pricing import InstanceBasedPricing, TraditionalPricing
 from fuseplan.runner import evaluate_setup, run_all
@@ -66,7 +68,7 @@ def test_tree_partitions_match_oracle():
 
 
 def test_single_task_app():
-    app = validate_app(AppGraph("ONE", (Task("A", 100.0),), (), "A"))
+    app = AppGraph("ONE", (Task("A", 100.0),), (), "A")
     parts = enumerate_partitions(app)
     assert len(parts) == 1
     assert parts[0].groups == (frozenset({"A"}),)
@@ -85,6 +87,25 @@ def test_setup_counts(name, expected):
 def test_empty_level_list_rejected():
     with pytest.raises(FusionError, match="empty"):
         list(enumerate_setups(builtin_app("LINEAR"), []))
+
+
+def test_level_lanes_order_suffixes_and_resources():
+    indices, suffixes, cpu, memory = LevelLanes(DEFAULT_LEVELS[:2]).of(2)
+    assert indices == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert suffixes == ["@0,0", "@0,1", "@1,0", "@1,1"]
+    assert [c.tolist() for c in cpu] == [[0.1, 0.1, 0.5, 0.5], [0.1, 0.5, 0.1, 0.5]]
+    assert memory[1].tolist() == [128.0, 832.0, 128.0, 832.0]
+    # One lane is held as plain numbers, never as length-1 arrays.
+    indices, suffixes, cpu, memory = LevelLanes(DEFAULT_LEVELS[2:]).of(3)
+    assert (indices, suffixes) == ([(0, 0, 0)], ["@0,0,0"])
+    assert cpu == [1.0] * 3 and memory == [1769] * 3 and type(cpu[0]) is float
+
+
+@pytest.mark.parametrize("name, parts", [
+    ("AB,C@2,0", ("AB,C", "2,0")), ("AB,C", ("AB,C", None)), ("AB@", ("AB", "")),
+])
+def test_split_setup_name(name, parts):
+    assert split_setup_name(name) == parts
 
 
 @pytest.mark.parametrize(
@@ -112,13 +133,11 @@ def test_canonical_name_examples():
 
 
 def test_canonical_name_multichar_uses_plus():
-    app = validate_app(
-        AppGraph(
-            "NAMES",
-            (Task("alpha", 1.0), Task("beta", 1.0)),
-            (CallEdge("alpha", "beta", CallMode.SYNC),),
-            "alpha",
-        )
+    app = AppGraph(
+        "NAMES",
+        (Task("alpha", 1.0), Task("beta", 1.0)),
+        (CallEdge("alpha", "beta", CallMode.SYNC),),
+        "alpha",
     )
     p = FusionPartition.from_groups([frozenset({"alpha", "beta"})])
     assert p.name == "alpha+beta"

@@ -85,5 +85,4 @@ def test_ingest_rejects_bad_header(s2_sync):
 def test_ingest_feeds_app_override(s2_sync):
     work = ingest_trace("task,duration_ms\nA,80\nB,120\n", s2_sync)
     app = s2_sync.with_base_work(work)
-    assert app.task("A").base_work_ms == 80.0
-    assert app.task("B").base_work_ms == 120.0
+    assert {t.name: t.base_work_ms for t in app.tasks} == {"A": 80.0, "B": 120.0}
