@@ -129,16 +129,15 @@ class SweepReport:
             "partition_coverage": self.partition_coverage,
             "partition_counts": self.partition_counts,
             "alpha_breakpoints": self.breakpoints(),
-            "pareto": [
-                {
-                    "setup": m.setup_name,
-                    "latency_ms": m.latency_ms,
-                    "cost_pmi_usd": m.cost_pmi_usd,
-                }
-                for m in self.pareto
-            ],
+            "pareto": front_rows(self.pareto),
         }
         return json.dumps(doc, indent=2, sort_keys=True)
+
+
+def front_rows(front: Iterable[SetupMetrics]) -> list[dict]:
+    """The JSON rows of a Pareto front, as ``sweep`` and ``pareto`` write them."""
+    return [{"setup": m.setup_name, "latency_ms": m.latency_ms, "cost_pmi_usd": m.cost_pmi_usd}
+            for m in front]
 
 
 # Scores held at once; alpha rows per chunk are this over the front size, so

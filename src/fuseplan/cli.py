@@ -19,6 +19,7 @@ from .analysis import (
     AlphaGrid,
     AnalysisError,
     alpha_sweep,
+    front_rows,
     greedy_optimize_path,
     pareto_front,
     sync_fuse_heuristic,
@@ -34,15 +35,16 @@ from .fusion import (
     singleton_setup,
 )
 from .pricing import (
-    InstanceBasedPricing,
+    PRICING_MODELS,
     PricingModel,
-    TraditionalPricing,
     load_pricing_config,
 )
 from .runner import metrics_from_rows, read_results_csv, run_all, write_results_csv
 from .sim import PlatformModel, SimulationError
 from .svg import scatter_svg
 from .workload import calibrate_workload
+
+_PRICING_IDS = tuple(kind.id for kind in PRICING_MODELS)
 
 
 def _bold(text: str) -> str:
@@ -78,21 +80,16 @@ def _load_platform(ref: str | None) -> PlatformModel:
     return from_json(PlatformModel, raw, SimulationError, "platform JSON")
 
 
-def _load_pricing(ref: str | None, default: str = "traditional") -> PricingModel:
-    if ref is None:
-        ref = default
-    if ref == "traditional":
-        return TraditionalPricing()
-    if ref == "instance_based":
-        return InstanceBasedPricing()
+def _load_pricing(ref: str | None) -> PricingModel:
+    for kind in PRICING_MODELS:
+        if ref in (None, kind.id):
+            return kind()
     return load_pricing_config(Path(ref).read_text())
 
 
-def _run_pricings(pricing: PricingModel) -> tuple[TraditionalPricing, InstanceBasedPricing]:
-    """The two cost columns of a run, with ``pricing`` in its own column."""
-    if isinstance(pricing, TraditionalPricing):
-        return pricing, InstanceBasedPricing()
-    return TraditionalPricing(), pricing
+def _run_pricings(pricing: PricingModel) -> tuple[PricingModel, ...]:
+    """The cost columns of a run, one per model, with ``pricing`` in its own."""
+    return tuple(pricing if kind.id == pricing.id else kind() for kind in PRICING_MODELS)
 
 
 def _write_or_print(text: str, out: str | None) -> None:
@@ -138,19 +135,33 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_metrics(results: str, pricing: PricingModel):
+def _read_metrics(results: str, pricing_id: str):
+    # A results file holds costs, not rates: a config's rates could only be ignored.
+    if pricing_id not in _PRICING_IDS:
+        raise AnalysisError(f"--pricing {pricing_id!r} is not a cost column of --results "
+                            f"({' or '.join(_PRICING_IDS)}); apply a pricing config with "
+                            "'run --pricing'")
     with open(results) as handle:
         rows = read_results_csv(handle)
-    return rows, metrics_from_rows(rows, pricing.id)
+    return rows, metrics_from_rows(rows, pricing_id)
+
+
+def _greedy_path(args: argparse.Namespace, app: AppGraph, levels, metrics):
+    """The ``--start`` setup (default: singletons at level 0) and its greedy path."""
+    start = (
+        parse_full_setup_name(app, args.start, levels)
+        if args.start
+        else singleton_setup(app, levels)
+    )
+    return start, greedy_optimize_path(app, metrics, args.alpha, start)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    pricing = _load_pricing(args.pricing)
-    _, metrics = _read_metrics(args.results, pricing)
-    report = alpha_sweep(metrics, AlphaGrid(args.alpha_steps), pricing.id)
+    _, metrics = _read_metrics(args.results, args.pricing)
+    report = alpha_sweep(metrics, AlphaGrid(args.alpha_steps), args.pricing)
     if args.out is not None:
         Path(args.out).write_text(report.to_json())
-    print(_bold(f"partition coverage ({pricing.id}, {report.steps} alpha steps)"))
+    print(_bold(f"partition coverage ({args.pricing}, {report.steps} alpha steps)"))
     for name, pct in sorted(
         report.partition_coverage.items(), key=lambda kv: -kv[1]
     ):
@@ -159,24 +170,18 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_pareto(args: argparse.Namespace) -> int:
-    pricing = _load_pricing(args.pricing)
-    _, metrics = _read_metrics(args.results, pricing)
+    _, metrics = _read_metrics(args.results, args.pricing)
     front = pareto_front(metrics)
-    doc = [
-        {"setup": m.setup_name, "latency_ms": m.latency_ms, "cost_pmi_usd": m.cost_pmi_usd}
-        for m in front
-    ]
     if args.out is not None:
-        Path(args.out).write_text(json.dumps(doc, indent=2))
-    print(_bold(f"pareto front ({pricing.id}): {len(front)} setups"))
+        Path(args.out).write_text(json.dumps(front_rows(front), indent=2))
+    print(_bold(f"pareto front ({args.pricing}): {len(front)} setups"))
     for m in front:
         print(f"  {m.setup_name:<32} latency {m.latency_ms:12.3f} ms  cost {m.cost_pmi_usd:12.4f} $pmi")
     return 0
 
 
 def _cmd_plot(args: argparse.Namespace) -> int:
-    pricing = _load_pricing(args.pricing)
-    rows, metrics = _read_metrics(args.results, pricing)
+    rows, metrics = _read_metrics(args.results, args.pricing)
     if not len(rows):
         raise AnalysisError("no data")
     steps = None
@@ -184,14 +189,8 @@ def _cmd_plot(args: argparse.Namespace) -> int:
         if not args.app:
             raise AnalysisError("--path requires --app")
         app = _load_app(args.app)
-        levels = _load_levels(args.levels)
-        start = (
-            parse_full_setup_name(app, args.start, levels)
-            if args.start
-            else singleton_setup(app, levels)
-        )
-        steps = greedy_optimize_path(app, metrics, args.alpha, start)
-    title = f"{rows['app'][0]}: {len(rows)} fusion setups ({pricing.id})"
+        _, steps = _greedy_path(args, app, _load_levels(args.levels), metrics)
+    title = f"{rows['app'][0]}: {len(rows)} fusion setups ({args.pricing})"
     _write_or_print(scatter_svg(metrics, title, steps), args.out)
     return 0
 
@@ -208,13 +207,7 @@ def _cmd_path(args: argparse.Namespace) -> int:
     platform = _load_platform(args.platform)
     pricing = _load_pricing(args.pricing)
     rows = run_all(app, levels, platform, *_run_pricings(pricing))
-    metrics = metrics_from_rows(rows, pricing.id)
-    start = (
-        parse_full_setup_name(app, args.start, levels)
-        if args.start
-        else singleton_setup(app, levels)
-    )
-    steps = greedy_optimize_path(app, metrics, args.alpha, start)
+    start, steps = _greedy_path(args, app, levels, metrics_from_rows(rows, pricing.id))
     print(_bold(f"greedy path from {start.name} at alpha={args.alpha} ({pricing.id})"))
     if not steps:
         print("  already at a local optimum")
@@ -253,12 +246,18 @@ def _add_common(parser: argparse.ArgumentParser, *flags: str) -> None:
         parser.add_argument("--platform", help="platform model JSON path")
     if "pricing" in flags:
         parser.add_argument(
-            "--pricing", help="traditional | instance_based | config path"
+            "--pricing", help=f"{' | '.join(_PRICING_IDS)} | config path"
         )
+    if "column" in flags:
+        parser.add_argument("--pricing", default=_PRICING_IDS[0],
+                            help=f"cost column of --results to rank: {' | '.join(_PRICING_IDS)}")
     if "levels" in flags:
         parser.add_argument("--levels", help="level count (1..3) or JSON path")
     if "out" in flags:
         parser.add_argument("--out", help="output path (default stdout)")
+    if "greedy" in flags:
+        parser.add_argument("--alpha", type=float, default=0.5)
+        parser.add_argument("--start", help="starting setup name (default singletons@0)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -283,23 +282,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="alpha sweep over a results CSV")
     p.add_argument("--results", required=True, help="results CSV from 'run'")
-    _add_common(p, "pricing", "out")
+    _add_common(p, "column", "out")
     p.add_argument("--alpha-steps", type=int, default=10001, dest="alpha_steps")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("pareto", help="extract the cost/latency Pareto front")
     p.add_argument("--results", required=True)
-    _add_common(p, "pricing", "out")
+    _add_common(p, "column", "out")
     p.set_defaults(func=_cmd_pareto)
 
     p = sub.add_parser("plot", help="render an SVG scatter of all setups")
     p.add_argument("--results", required=True)
-    _add_common(p, "pricing", "out")
+    _add_common(p, "column", "levels", "out", "greedy")
     p.add_argument("--path", action="store_true", help="overlay a greedy path")
     p.add_argument("--app", help="app reference (needed with --path)")
-    p.add_argument("--levels", help="level count or JSON path")
-    p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--start", help="starting setup name for the path")
     p.set_defaults(func=_cmd_plot)
 
     p = sub.add_parser("heuristic", help="print the sync-fuse partition")
@@ -307,9 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_heuristic)
 
     p = sub.add_parser("path", help="greedy optimization path to a local optimum")
-    _add_common(p, "app", "platform", "pricing", "levels")
-    p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--start", help="starting setup name (default singletons@0)")
+    _add_common(p, "app", "platform", "pricing", "levels", "greedy")
     p.set_defaults(func=_cmd_path)
 
     p = sub.add_parser("calibrate", help="time the Lucas-Lehmer workload")

@@ -243,25 +243,30 @@ def count_setups_tree(task_count: int, level_count: int) -> int:
 
 
 def parse_setup_name(app: AppGraph, name: str) -> FusionPartition:
-    """Inverse of ``FusionPartition.name`` (up to any '@'), on the app's separator."""
-    chunks = split_setup_name(name)[0].split(",")
+    """Inverse of ``FusionPartition.name`` (up to any '@'), on the app's separator;
+    any other spelling is refused, so levels land on the groups written."""
+    text = split_setup_name(name)[0]
+    chunks = text.split(",")
     if "" in chunks:
         raise FusionError(f"empty group in {name!r}")
     sep = group_separator(app.task_names())
     groups = [frozenset(chunk.split(sep) if sep else chunk) for chunk in chunks]
-    return validate_partition(app, FusionPartition.from_groups(groups))
+    partition = validate_partition(app, FusionPartition.from_groups(groups))
+    if partition.name != text:
+        raise FusionError(f"partition {text!r} is not in written form {partition.name!r}")
+    return partition
 
 
 def parse_full_setup_name(
     app: AppGraph, name: str, levels: Sequence[ResourceConfig] = DEFAULT_LEVELS
 ) -> FusionSetup:
-    """Parse ``<partition>@<levelIdx>,...``, each index ASCII digits as
-    ``setup_name`` writes them; without '@' every group is at level 0."""
+    """Parse ``<partition>@<levelIdx>,...`` as ``setup_name`` writes it, indices
+    ASCII digits with no leading zero; without '@' every group is at level 0."""
     partition_text, level_text = split_setup_name(name)
     partition = parse_setup_name(app, partition_text)
     if level_text is None:
         indices = (0,) * len(partition.groups)
-    elif all(d.isascii() and d.isdigit() for d in level_text.split(",")):
+    elif all(d.isascii() and d.isdigit() and str(int(d)) == d for d in level_text.split(",")):
         indices = tuple(map(int, level_text.split(",")))
     else:
         raise FusionError(f"bad level indices in {name!r}")

@@ -58,6 +58,8 @@ class InstanceBasedPricing:
 
 
 PricingModel = TraditionalPricing | InstanceBasedPricing
+# Every pricing model, in results-file column order; the first is the default.
+PRICING_MODELS = (TraditionalPricing, InstanceBasedPricing)
 
 
 @dataclass(frozen=True)
@@ -182,8 +184,8 @@ def load_pricing_config(text: str) -> PricingModel:
     raw = load_json(text, PricingError, "pricing config")
     if not isinstance(raw, dict):
         raise PricingError("pricing config must be a JSON object")
-    model = raw.get("model", "traditional")
-    for kind in (TraditionalPricing, InstanceBasedPricing):
+    model = raw.get("model", PRICING_MODELS[0].id)
+    for kind in PRICING_MODELS:
         if kind.id == model:
             return from_json(kind, raw, PricingError, "pricing config")
     raise PricingError(f"unknown pricing model {model!r}")

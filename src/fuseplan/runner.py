@@ -201,5 +201,5 @@ def metrics_from_rows(rows: Iterable[RunRow] | np.ndarray, pricing_id: str) -> M
     if pricing_id not in columns:
         raise ValueError(f"unknown pricing id {pricing_id!r}")
     if not isinstance(rows, np.ndarray):
-        rows = np.array(list(rows), dtype=RESULT_DTYPE)
+        rows = np.fromiter(rows, dtype=RESULT_DTYPE)
     return MetricTable(rows["setup"], rows["latency_ms"], rows[columns[pricing_id]])

@@ -207,6 +207,57 @@ def test_path_start_takes_only_written_level_text(capsys, start):
     assert len(captured.err.splitlines()) == 1
 
 
+# R -> A (sync), A -> B (async), R -> AB (sync): fused A and B are written "A+B".
+RAB = {
+    "name": "RAB", "root": "R",
+    "tasks": [{"name": n, "base_work_ms": w} for n, w in zip(("R", "A", "B", "AB"), (1, 2, 3, 4))],
+    "edges": [{"caller": "R", "callee": "A", "mode": "sync"},
+              {"caller": "A", "callee": "B", "mode": "async"},
+              {"caller": "R", "callee": "AB", "mode": "sync"}],
+}
+
+
+@pytest.mark.parametrize(
+    "app, start",
+    [
+        ("builtin:TREE", "GFC,ABDE@0,2"),
+        ("builtin:TREE", "CFG,ABDE@2,0"),
+        ("builtin:TREE", "ABDE,CFG@02,0"),
+        ("RAB", "AB,A+B,R@0,0,0"),
+        ("RAB", "B+A,AB,R@0,0,0"),
+    ],
+)
+def test_path_start_takes_only_the_written_name(tmp_path, capsys, app, start):
+    # Levels apply in written group order, so a name with its groups or
+    # members reordered, or an index with a leading zero, names no setup.
+    if app == "RAB":
+        app = tmp_path / "rab.json"
+        app.write_text(json.dumps(RAB))
+    assert run_cli("path", "--app", str(app), "--start", start) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv", [("sweep",), ("pareto",), ("plot",), ("plot", "--path", "--app", "builtin:LINEAR")],
+    ids=" ".join,
+)
+def test_ranking_commands_refuse_a_pricing_config(linear_results, tmp_path, capsys, argv):
+    # A results file holds costs at the rates it was run with, so a config's
+    # rates could only be ignored: the config belongs to 'run --pricing'.
+    config = tmp_path / "fee.json"
+    config.write_text(json.dumps({"model": "traditional", "request_fee_usd": 1.0}))
+    out = tmp_path / "out"
+    assert run_cli(*argv, "--results", str(linear_results), "--pricing", str(config),
+                   "--out", str(out)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
+    for word in ("traditional", "instance_based", "'run --pricing'"):
+        assert word in captured.err
+
+
 def test_calibrate_prime_verdict(capsys):
     assert run_cli("calibrate", "--exponent", "3") == 0
     assert "verdict prime" in capsys.readouterr().out
