@@ -184,10 +184,6 @@ class AppGraph:
         """Edges issued by ``caller``, in call order."""
         return self.calls.get(caller, ())
 
-    def undirected_pairs(self) -> tuple[tuple[str, str], ...]:
-        """(caller, callee) of every edge, in edge order."""
-        return tuple((e.caller, e.callee) for e in self.edges)
-
     def with_base_work(self, work_ms: Mapping[str, float]) -> "AppGraph":
         """Return a copy with per-task compute durations overridden."""
         missing = [n for n in work_ms if n not in self.task_names()]

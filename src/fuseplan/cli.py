@@ -22,12 +22,14 @@ from .analysis import (
     front_rows,
     greedy_optimize_path,
     pareto_front,
+    score,
     sync_fuse_heuristic,
 )
 from .app import AppGraph, builtin_app, from_json, load_json, parse_app, BUILTIN_NAMES
 from .fusion import (
     DEFAULT_LEVELS,
     FusionError,
+    FusionSetup,
     ResourceConfig,
     count_setups_tree,
     enumerate_setups,
@@ -70,6 +72,8 @@ def _load_levels(ref: str | None) -> tuple[ResourceConfig, ...]:
     raw = load_json(Path(ref).read_text(), FusionError, "levels JSON")
     if not isinstance(raw, list):
         raise FusionError("levels JSON must be a list of {cpu, memory_mb} objects")
+    if not raw:
+        raise FusionError("--levels must list at least one level")
     return tuple(from_json(ResourceConfig, entry, FusionError, "level entry") for entry in raw)
 
 
@@ -146,19 +150,23 @@ def _read_metrics(results: str, pricing_id: str):
     return rows, metrics_from_rows(rows, pricing_id)
 
 
-def _greedy_path(args: argparse.Namespace, app: AppGraph, levels, metrics):
-    """The ``--start`` setup (default: singletons at level 0) and its greedy path."""
+def _path_start(args: argparse.Namespace, app: AppGraph, levels) -> tuple[FusionSetup, float]:
+    """The ``--start`` setup (default: singletons at level 0) and ``--alpha``
+    (default 0.5), both checked before any metric is computed or read."""
     start = (
         parse_full_setup_name(app, args.start, levels)
         if args.start
         else singleton_setup(app, levels)
     )
-    return start, greedy_optimize_path(app, metrics, args.alpha, start)
+    alpha = 0.5 if args.alpha is None else args.alpha
+    score(0.0, 0.0, alpha)  # refuses an alpha outside [0, 1]
+    return start, alpha
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    grid = AlphaGrid(args.alpha_steps)
     _, metrics = _read_metrics(args.results, args.pricing)
-    report = alpha_sweep(metrics, AlphaGrid(args.alpha_steps), args.pricing)
+    report = alpha_sweep(metrics, grid, args.pricing)
     if args.out is not None:
         Path(args.out).write_text(report.to_json())
     print(_bold(f"partition coverage ({args.pricing}, {report.steps} alpha steps)"))
@@ -181,15 +189,20 @@ def _cmd_pareto(args: argparse.Namespace) -> int:
 
 
 def _cmd_plot(args: argparse.Namespace) -> int:
-    rows, metrics = _read_metrics(args.results, args.pricing)
-    if not len(rows):
-        raise AnalysisError("no data")
-    steps = None
     if args.path:
         if not args.app:
             raise AnalysisError("--path requires --app")
         app = _load_app(args.app)
-        _, steps = _greedy_path(args, app, _load_levels(args.levels), metrics)
+        start, alpha = _path_start(args, app, _load_levels(args.levels))
+    else:
+        given = [f"--{flag}" for flag in ("app", "levels", "start", "alpha")
+                 if getattr(args, flag) is not None]
+        if given:
+            raise AnalysisError(f"plot reads {', '.join(given)} only with --path")
+    rows, metrics = _read_metrics(args.results, args.pricing)
+    if not len(rows):
+        raise AnalysisError("no data")
+    steps = greedy_optimize_path(app, metrics, alpha, start) if args.path else None
     title = f"{rows['app'][0]}: {len(rows)} fusion setups ({args.pricing})"
     _write_or_print(scatter_svg(metrics, title, steps), args.out)
     return 0
@@ -204,11 +217,12 @@ def _cmd_heuristic(args: argparse.Namespace) -> int:
 def _cmd_path(args: argparse.Namespace) -> int:
     app = _load_app(args.app)
     levels = _load_levels(args.levels)
+    start, alpha = _path_start(args, app, levels)
     platform = _load_platform(args.platform)
     pricing = _load_pricing(args.pricing)
     rows = run_all(app, levels, platform, *_run_pricings(pricing))
-    start, steps = _greedy_path(args, app, levels, metrics_from_rows(rows, pricing.id))
-    print(_bold(f"greedy path from {start.name} at alpha={args.alpha} ({pricing.id})"))
+    steps = greedy_optimize_path(app, metrics_from_rows(rows, pricing.id), alpha, start)
+    print(_bold(f"greedy path from {start.name} at alpha={alpha} ({pricing.id})"))
     if not steps:
         print("  already at a local optimum")
     for step in steps:
@@ -256,7 +270,7 @@ def _add_common(parser: argparse.ArgumentParser, *flags: str) -> None:
     if "out" in flags:
         parser.add_argument("--out", help="output path (default stdout)")
     if "greedy" in flags:
-        parser.add_argument("--alpha", type=float, default=0.5)
+        parser.add_argument("--alpha", type=float, help="latency weight in [0, 1] (default 0.5)")
         parser.add_argument("--start", help="starting setup name (default singletons@0)")
 
 

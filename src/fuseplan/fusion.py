@@ -194,7 +194,7 @@ def validate_partition(app: AppGraph, partition: FusionPartition) -> FusionParti
     for g in partition.groups:
         if not g:
             raise FusionError("empty group")
-        for t in g:
+        for t in sorted(g):
             if t not in names:
                 raise FusionError(f"unknown task {t!r}")
             if t in seen:
@@ -274,8 +274,8 @@ def parse_full_setup_name(
 
 
 def singleton_setup(
-    app: AppGraph, levels: Sequence[ResourceConfig] = DEFAULT_LEVELS, level_index: int = 0
+    app: AppGraph, levels: Sequence[ResourceConfig] = DEFAULT_LEVELS
 ) -> FusionSetup:
-    """Every task in its own group at one uniform level (the usual baseline)."""
+    """Every task in its own group at level 0 (the usual baseline)."""
     partition = fuse(app, ())
-    return FusionSetup(partition, tuple(level_index for _ in partition.groups), tuple(levels))
+    return FusionSetup(partition, (0,) * len(partition.groups), tuple(levels))

@@ -119,37 +119,6 @@ class SimResult:
     def remote_calls(self) -> int:
         return len(self.invocations)
 
-    @property
-    def total_billed_ms(self) -> float:
-        return sum(r.billed_ms for r in self.invocations)
-
-    def to_dict(self) -> dict:
-        return {
-            "latency_ms": self.latency_ms,
-            "remote_calls": self.remote_calls,
-            "invocations": [
-                {
-                    "group": r.group,
-                    "instance_id": r.instance_id,
-                    "start_ms": r.start_ms,
-                    "end_ms": r.end_ms,
-                    "billed_ms": r.billed_ms,
-                    "cold": r.cold,
-                }
-                for r in self.invocations
-            ],
-            "trace": [
-                {
-                    "time_ms": e.time_ms,
-                    "seq": e.seq,
-                    "kind": e.kind,
-                    "instance_id": e.instance_id,
-                    "task": e.task,
-                }
-                for e in self.trace
-            ],
-        }
-
 
 # A time: one float for a single lane, or an array over a partition's lanes.
 Time = Union[float, np.ndarray]

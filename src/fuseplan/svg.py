@@ -27,10 +27,6 @@ _STYLE = """\
 """
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.2f}"
-
-
 def _xml_text(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
@@ -44,16 +40,11 @@ def scatter_svg(
     table = MetricTable.of(metrics)
     if not len(table):
         raise ValueError("no data")
-    cost_n = normalize_metrics(table.cost_pmi_usd)
-    lat_n = normalize_metrics(table.latency_ms)
+    # Each setup's pixel position, for its point and for the path.
     span_x = _WIDTH - 2 * _MARGIN
     span_y = _HEIGHT - 2 * _MARGIN
-
-    def px(x: float) -> float:
-        return _MARGIN + x * span_x
-
-    def py(y: float) -> float:
-        return _HEIGHT - _MARGIN - y * span_y
+    xs = [_MARGIN + x * span_x for x in normalize_metrics(table.cost_pmi_usd)]
+    ys = [_HEIGHT - _MARGIN - y * span_y for y in normalize_metrics(table.latency_ms)]
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
@@ -74,10 +65,7 @@ def scatter_svg(
             f'<text class="label" x="{_WIDTH // 2}" y="24" '
             f'text-anchor="middle">{_xml_text(title)}</text>'
         )
-    for x, y in zip(cost_n, lat_n):
-        parts.append(
-            f'<circle class="pt" cx="{_fmt(px(x))}" cy="{_fmt(py(y))}" r="2"/>'
-        )
+    parts.extend(f'<circle class="pt" cx="{x:.2f}" cy="{y:.2f}" r="2"/>' for x, y in zip(xs, ys))
 
     if path_steps:
         row_of = table.row_of
@@ -85,15 +73,10 @@ def scatter_svg(
             if step.from_setup not in row_of or step.to_setup not in row_of:
                 continue
             i, j = row_of[step.from_setup], row_of[step.to_setup]
-            x1, y1, x2, y2 = cost_n[i], lat_n[i], cost_n[j], lat_n[j]
             parts.append(
                 f'<line class="step-{step.kind}" '
-                f'x1="{_fmt(px(x1))}" y1="{_fmt(py(y1))}" '
-                f'x2="{_fmt(px(x2))}" y2="{_fmt(py(y2))}"/>'
+                f'x1="{xs[i]:.2f}" y1="{ys[i]:.2f}" x2="{xs[j]:.2f}" y2="{ys[j]:.2f}"/>'
             )
-            parts.append(
-                f'<circle class="step-node" cx="{_fmt(px(x2))}" '
-                f'cy="{_fmt(py(y2))}" r="3"/>'
-            )
+            parts.append(f'<circle class="step-node" cx="{xs[j]:.2f}" cy="{ys[j]:.2f}" r="3"/>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -24,7 +24,7 @@ from fuseplan.sim import PlatformModel
 
 def enumerate_partitions(app: AppGraph) -> list[FusionPartition]:
     """All partitions into edge-connected groups, sorted by canonical name."""
-    pairs = app.undirected_pairs()
+    pairs = [(e.caller, e.callee) for e in app.edges]
     names = app.task_names()
     by_name: dict[str, FusionPartition] = {}
     for mask in range(1 << len(pairs)):
@@ -75,7 +75,7 @@ def _neighbors(app: AppGraph, setup: FusionSetup) -> list[tuple[str, FusionSetup
     out: list[tuple[str, FusionSetup]] = []
     partition = setup.partition
     palette = setup.levels
-    pairs = app.undirected_pairs()
+    pairs = [(e.caller, e.callee) for e in app.edges]
 
     group_of = partition.group_index()
     for a, b in pairs:

@@ -144,7 +144,7 @@ def test_criterion_5_invariant_suite():
     sync_checks = 0
     for p in enumerate_partitions(app):
         p_group = p.group_index()
-        for a, b in app.undirected_pairs():
+        for a, b in ((e.caller, e.callee) for e in app.edges):
             if p_group[a] == p_group[b]:
                 continue
             q = _merge(p, a, b)

@@ -561,3 +561,61 @@ def test_reserved_or_control_character_in_name_is_domain_error(
     assert captured.out == ""
     assert captured.err.startswith("error:") and message in captured.err
     assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "option, message",
+    [(("--alpha", "7"), "error: alpha must lie in [0, 1]\n"),
+     (("--start", "nonsense"), "error: unknown task 'e'\n")],
+    ids=["--alpha", "--start"],
+)
+def test_path_checks_start_and_alpha_before_pricing_any_setup(capsys, monkeypatch, option, message):
+    def fail(*args, **kwargs):
+        raise AssertionError("run_all called before --start and --alpha were checked")
+
+    monkeypatch.setattr("fuseplan.cli.run_all", fail)
+    assert run_cli("path", "--app", "builtin:TREE", *option) == 1
+    assert capsys.readouterr() == ("", message)
+
+
+def test_plot_path_checks_start_before_reading_results(tmp_path, capsys):
+    # A missing file would exit 2; the bad start is found first.
+    assert run_cli("plot", "--path", "--app", "builtin:LINEAR", "--start", "nonsense",
+                   "--results", str(tmp_path / "missing.csv")) == 1
+    assert capsys.readouterr() == ("", "error: unknown task 'e'\n")
+
+
+def test_sweep_checks_alpha_steps_before_reading_results(tmp_path, capsys):
+    assert run_cli("sweep", "--alpha-steps", "1", "--results", str(tmp_path / "missing.csv")) == 1
+    assert capsys.readouterr() == ("", "error: alpha grid needs at least 2 steps\n")
+
+
+@pytest.mark.parametrize(
+    "option",
+    [("--app", "builtin:LINEAR"), ("--levels", "9"), ("--start", "nonsense@@"), ("--alpha", "7")],
+    ids=lambda option: option[0],
+)
+def test_plot_refuses_path_flags_without_path(linear_results, tmp_path, capsys, option):
+    out = tmp_path / "plot.svg"
+    assert run_cli("plot", "--results", str(linear_results), *option, "--out", str(out)) == 1
+    assert capsys.readouterr() == ("", f"error: plot reads {option[0]} only with --path\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("enumerate", "--app", "builtin:LINEAR"),
+        ("enumerate", "--app", "builtin:LINEAR", "--list"),
+        ("run", "--app", "builtin:LINEAR"),
+        ("path", "--app", "builtin:LINEAR"),
+        ("plot", "--results", "RESULTS", "--path", "--app", "builtin:LINEAR"),
+    ],
+    ids=" ".join,
+)
+def test_empty_level_list_is_refused_where_it_is_read(linear_results, tmp_path, capsys, argv):
+    levels = tmp_path / "levels.json"
+    levels.write_text("[]")
+    argv = [str(linear_results) if arg == "RESULTS" else arg for arg in argv]
+    assert run_cli(*argv, "--levels", str(levels)) == 1
+    assert capsys.readouterr() == ("", "error: --levels must list at least one level\n")

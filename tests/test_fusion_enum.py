@@ -34,7 +34,7 @@ MIXED_NAMES = ("R", "A", "B", "AB", "BA", "RA", "ABR")
 def oracle_partitions(app) -> set[frozenset[frozenset[str]]]:
     """Independent enumeration: brute-force every edge subset and collect the
     induced node partitions as raw set structures."""
-    pairs = app.undirected_pairs()
+    pairs = [(e.caller, e.callee) for e in app.edges]
     names = app.task_names()
     seen = set()
     for included in itertools.chain.from_iterable(

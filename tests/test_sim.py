@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import json
-
 import pytest
 from hypothesis import given, settings
 
@@ -77,8 +75,9 @@ def test_determinism_bit_identical():
     app = builtin_app("TREE")
     setup = setup_of(app, "ABDE,CF,G@2,1,0")
     model = PlatformModel(5.0, 100.0, ColdPolicy.ALWAYS_COLD, 1.0)
-    a = json.dumps(simulate(app, setup, model).to_dict())
-    b = json.dumps(simulate(app, setup, model).to_dict())
+    # repr spells every float exactly, so equal text means bit-identical runs.
+    a = repr(simulate(app, setup, model))
+    b = repr(simulate(app, setup, model))
     assert a == b
 
 
@@ -94,7 +93,7 @@ def test_fused_group_conserves_compute(name, level, zero_model):
     cpu = DEFAULT_LEVELS[level].cpu
     expected = sum(t.base_work_ms / cpu for t in app.tasks)
     assert result.latency_ms == expected
-    assert result.total_billed_ms == expected
+    assert sum(r.billed_ms for r in result.invocations) == expected
     assert result.remote_calls == 1
 
 
@@ -104,7 +103,7 @@ def test_remote_calls_count_cross_group_edges(name, overhead_model):
     for p in enumerate_partitions(app):
         setup = FusionSetup(p, tuple(1 for _ in p.groups), DEFAULT_LEVELS)
         group_of = p.group_index()
-        cross = sum(1 for a, b in app.undirected_pairs() if group_of[a] != group_of[b])
+        cross = sum(1 for e in app.edges if group_of[e.caller] != group_of[e.callee])
         result = simulate(app, setup, overhead_model)
         assert result.remote_calls == 1 + cross
 
