@@ -1,8 +1,8 @@
 """Command-line front end: enumerate, run, sweep, pareto, plot, heuristic,
 path, calibrate, and apps.
 
-Exit codes: 0 success, 1 validation or domain error, 2 I/O error. Setting
-FUSEPLAN_NO_COLOR disables ANSI styling.
+Exit codes: 0 success, 1 validation, domain or out-of-memory error, 2 I/O
+error. Setting FUSEPLAN_NO_COLOR disables ANSI styling.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ def _load_app(ref: str) -> AppGraph:
 def _load_levels(ref: str | None) -> tuple[ResourceConfig, ...]:
     if ref is None:
         return DEFAULT_LEVELS
-    if ref.isdigit():
+    if ref.isascii() and ref.isdigit():
         n = int(ref)
         if not (1 <= n <= len(DEFAULT_LEVELS)):
             raise FusionError(f"--levels {n} outside 1..{len(DEFAULT_LEVELS)}")
@@ -122,20 +122,21 @@ def _cmd_run(args: argparse.Namespace) -> int:
     traditional, instance = _run_pricings(_load_pricing(args.pricing))
     rows = run_all(app, levels, platform, traditional, instance, jobs=args.jobs)
     if args.out is None:
-        count = write_results_csv(rows, sys.stdout)
+        write_results_csv(rows, sys.stdout)
     else:
         # Written beside the target and moved into place only once every row
         # is out, so a failed run leaves an existing file untouched.
         tmp = f"{args.out}.{os.getpid()}.tmp"
         try:
             with open(tmp, "x", newline="") as handle:
-                count = write_results_csv(rows, handle)
+                write_results_csv(rows, handle)
             os.replace(tmp, args.out)
         except BaseException:
             with contextlib.suppress(FileNotFoundError):
                 os.unlink(tmp)
             raise
-    print(f"{count} setups evaluated", file=sys.stderr)
+    # Every app is a call tree, so the closed form counts the rows written.
+    print(f"{count_setups_tree(len(app.tasks), len(levels))} setups evaluated", file=sys.stderr)
     return 0
 
 
@@ -345,6 +346,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

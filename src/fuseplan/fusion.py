@@ -94,12 +94,6 @@ class FusionSetup:
     def config_of(self, group_index: int) -> ResourceConfig:
         return self.levels[self.level_indices[group_index]]
 
-    def assignment(self) -> dict[str, ResourceConfig]:
-        return {
-            name: self.config_of(i)
-            for i, name in enumerate(self.partition.name.split(","))
-        }
-
 
 def setup_name(setup: FusionSetup) -> str:
     """``<partition>@<levelIdx>,...`` with indices in group order."""

@@ -15,9 +15,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .app import AppGraph, check_fields, from_json, load_json
+from .app import check_fields, from_json, load_json
 from .fusion import FusionSetup
-from .sim import PlatformModel, SimResult, simulate
+from .sim import SimResult
 
 # Default rates (USD). Configuration constants from public price lists.
 DEFAULT_REQUEST_FEE_USD = 2.0e-7
@@ -149,34 +149,19 @@ def cost_of(result: SimResult, setup: FusionSetup, model: PricingModel) -> float
     is applied, so setups with identical total billed time price identically
     regardless of how instances are split.
     """
-    configs = setup.assignment()
+    index = {name: i for i, name in enumerate(setup.partition.name.split(","))}
     used = []
     for record in result.invocations:
-        cfg = configs.get(record.group)
-        if cfg is None:
+        g = index.get(record.group)
+        if g is None:
             raise PricingError(f"invocation group {record.group!r} not in setup")
-        used.append(cfg)
+        used.append(setup.config_of(g))
     gb_seconds, cpu_seconds = billed_usage(
         [r.billed_ms for r in result.invocations],
         [cfg.cpu for cfg in used],
         [cfg.memory_mb for cfg in used],
     )
     return price_usage(gb_seconds, cpu_seconds, len(result.invocations), model)
-
-
-def metrics_for(
-    app: AppGraph,
-    setup: FusionSetup,
-    model: PricingModel,
-    platform: PlatformModel,
-) -> SetupMetrics:
-    """Simulate one setup and price the result."""
-    result = simulate(app, setup, platform)
-    return SetupMetrics(
-        setup_name=setup.name,
-        latency_ms=result.latency_ms,
-        cost_pmi_usd=cost_of(result, setup, model),
-    )
 
 
 def load_pricing_config(text: str) -> PricingModel:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import io
 import warnings
-from itertools import count, repeat
+from itertools import repeat
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -128,16 +128,11 @@ def run_all(
         yield from _partition_rows(app, tree, partition, lanes, platform, traditional, instance)
 
 
-def write_results_csv(rows: Iterable[RunRow], stream: io.TextIOBase) -> int:
-    """Write rows, floats as their ``repr`` (as ``csv`` does); returns the
-    data-row count."""
+def write_results_csv(rows: Iterable[RunRow], stream: io.TextIOBase) -> None:
+    """Write the header and rows, floats as their ``repr`` (as ``csv`` does)."""
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(RESULT_COLUMNS)
-    counter = count()
-    # zip stops on the exhausted rows before drawing from the counter, so its
-    # next value is the row count.
-    writer.writerows(row for row, _ in zip(rows, counter))
-    return next(counter)
+    writer.writerows(rows)
 
 
 def read_results_csv(stream: io.TextIOBase) -> np.ndarray:

@@ -42,7 +42,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .app import AppGraph, CallMode, Task, check_fields
+from .app import AppGraph, CallMode, check_fields
 from .fusion import FusionPartition, FusionSetup
 
 
@@ -81,13 +81,6 @@ class PlatformModel:
         if self.cold_policy is ColdPolicy.ALWAYS_WARM:
             return 0.0
         return self.cold_start_ms
-
-
-def task_duration(task: Task, cpu: float) -> float:
-    """Scaled compute time in ms: base work divided by the cpu fraction."""
-    if not (cpu > 0):
-        raise SimulationError("cpu must be positive")
-    return task.base_work_ms / cpu
 
 
 @dataclass(frozen=True)

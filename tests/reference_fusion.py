@@ -1,14 +1,13 @@
 """Union-find partition enumeration, the sync-fuse heuristic, the merge/split
-neighbourhood and the two-mode greedy path: the test oracle of the
-call-tree fusion code.
+neighbourhood and the greedy path: the test oracle of the call-tree fusion
+code.
 
 This is the general-graph code ``fuseplan.fusion`` and ``fuseplan.analysis``
 replaced. Partitions come from a union-find over each edge subset,
 deduplicated by canonical name; the neighbourhood merges across an edge or
 splits along one with a fresh union-find; the greedy path keeps a visited
-set and, without a full metric set, normalizes over the setups it has
-measured so far. Tests compare the call-tree code against it, so it must
-stay exactly as it is.
+set and normalizes over the whole metric set it is given. Tests compare the
+call-tree code against it, so it must stay exactly as it is.
 """
 
 from __future__ import annotations
@@ -18,8 +17,7 @@ from typing import Sequence
 from fuseplan.analysis import AnalysisError, OptimizationStep, normalize_metrics, score
 from fuseplan.app import AppGraph, CallMode
 from fuseplan.fusion import FusionPartition, FusionSetup, validate_partition
-from fuseplan.pricing import PricingModel, SetupMetrics, metrics_for
-from fuseplan.sim import PlatformModel
+from fuseplan.pricing import SetupMetrics
 
 
 def enumerate_partitions(app: AppGraph) -> list[FusionPartition]:
@@ -135,31 +133,23 @@ def _neighbors(app: AppGraph, setup: FusionSetup) -> list[tuple[str, FusionSetup
 
 def greedy_optimize_path(
     app: AppGraph,
-    platform: PlatformModel,
-    pricing: PricingModel,
+    metrics: Sequence[SetupMetrics],
     alpha: float,
     start_setup: FusionSetup,
-    full_metrics: Sequence[SetupMetrics] | None = None,
 ) -> list[OptimizationStep]:
     """Hill-climb from ``start_setup`` to a local score optimum.
 
-    With ``full_metrics`` (the default mode when a full run is available),
-    normalization is fixed over that set. Without it, normalization is
-    recomputed over every setup evaluated so far, and already-visited setups
-    are never re-entered, which keeps the path finite.
+    Normalization is fixed over ``metrics``, and already-visited setups are
+    never re-entered, which keeps the path finite.
     """
     if not (0.0 <= alpha <= 1.0):
         raise AnalysisError("alpha must lie in [0, 1]")
-    cache: dict[str, SetupMetrics] = {}
-    if full_metrics is not None:
-        cache.update({m.setup_name: m for m in full_metrics})
+    cache = {m.setup_name: m for m in metrics}
 
     def measure(setup: FusionSetup) -> SetupMetrics:
         key = setup.name
         if key not in cache:
-            if full_metrics is not None:
-                raise AnalysisError(f"setup {key!r} missing from the metric set")
-            cache[key] = metrics_for(app, setup, pricing, platform)
+            raise AnalysisError(f"setup {key!r} missing from the metric set")
         return cache[key]
 
     def scores_for(names: Sequence[str]) -> dict[str, float]:

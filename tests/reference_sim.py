@@ -23,7 +23,6 @@ from fuseplan.sim import (
     PlatformModel,
     SimResult,
     TraceEvent,
-    task_duration,
 )
 
 
@@ -79,7 +78,7 @@ class _Run:
                   cpu: float, queue: list[str]) -> float:
         task = next(task for task in self.app.tasks if task.name == task_name)
         self.log(t, "task_start", instance_id, task_name)
-        t += task_duration(task, cpu)
+        t += task.base_work_ms / cpu
         self.log(t, "task_end", instance_id, task_name)
         for edge in self.app.outgoing(task_name):
             local = self.group_of[edge.callee] == gidx
@@ -114,7 +113,10 @@ def reference_simulate(app: AppGraph, setup: FusionSetup, model: PlatformModel) 
 
 
 def reference_cost(result: SimResult, setup: FusionSetup, model) -> float:
-    configs = setup.assignment()
+    configs = {
+        name: setup.levels[setup.level_indices[i]]
+        for i, name in enumerate(setup.partition.name.split(","))
+    }
     mb_ms = 0.0
     cpu_ms = 0.0
     for record in result.invocations:

@@ -20,7 +20,6 @@ from fuseplan.fusion import (
     DEFAULT_LEVELS,
     FusionSetup,
     enumerate_partitions,
-    enumerate_setups,
     parse_full_setup_name,
 )
 from fuseplan.pricing import (
@@ -28,8 +27,8 @@ from fuseplan.pricing import (
     SetupMetrics,
     TraditionalPricing,
     cost_of,
-    metrics_for,
 )
+from fuseplan.runner import metrics_from_rows, run_all
 from fuseplan.sim import ColdPolicy, PlatformModel, simulate
 
 from .conftest import two_task_app
@@ -113,10 +112,7 @@ def test_sweep_coverage_counts_sum_to_steps():
     app = builtin_app("PARALLEL_LINEAR")
     platform = PlatformModel()
     pricing = TraditionalPricing()
-    metrics = [
-        metrics_for(app, s, pricing, platform)
-        for s in enumerate_setups(app, DEFAULT_LEVELS)
-    ]
+    metrics = metrics_from_rows(run_all(app, DEFAULT_LEVELS, platform, pricing), pricing.id)
     report = alpha_sweep(metrics, AlphaGrid(1001))
     assert sum(report.coverage_counts.values()) == 1001
     assert sum(report.partition_counts.values()) == 1001
@@ -143,10 +139,7 @@ def test_pareto_keeps_duplicates_and_sorts_by_cost():
 def test_winners_within_front_cross_check():
     # Exhaustive cross-check on a real metric set.
     app = builtin_app("ASYNC")
-    metrics = [
-        metrics_for(app, s, InstanceBasedPricing(), PlatformModel())
-        for s in enumerate_setups(app, DEFAULT_LEVELS)
-    ]
+    metrics = metrics_from_rows(run_all(app), "instance_based")
     report = alpha_sweep(metrics, AlphaGrid(501))
     front = {m.setup_name for m in pareto_front(metrics)}
     assert set(report.coverage_counts) <= front
@@ -193,10 +186,7 @@ def test_heuristic_weakly_dominates_async_coarsenings():
 
 def _s2_space(platform, pricing):
     app = two_task_app(CallMode.SYNC)
-    metrics = [
-        metrics_for(app, s, pricing, platform)
-        for s in enumerate_setups(app, DEFAULT_LEVELS)
-    ]
+    metrics = metrics_from_rows(run_all(app, DEFAULT_LEVELS, platform, pricing), pricing.id)
     return app, metrics
 
 
@@ -236,10 +226,7 @@ def test_greedy_on_linear_ends_fully_fused():
     app = builtin_app("LINEAR")
     platform = PlatformModel()
     pricing = TraditionalPricing()
-    metrics = [
-        metrics_for(app, s, pricing, platform)
-        for s in enumerate_setups(app, DEFAULT_LEVELS)
-    ]
+    metrics = metrics_from_rows(run_all(app, DEFAULT_LEVELS, platform, pricing), pricing.id)
     start = parse_full_setup_name(app, "A,B,C,D,E@0,0,0,0,0")
     steps = greedy_optimize_path(app, metrics, 0.5, start)
     assert steps
@@ -255,10 +242,8 @@ def test_baseline_comparison_identity():
 
 def test_baseline_comparison_s2(s2_sync, overhead_model):
     pricing = TraditionalPricing()
-    metrics = [
-        metrics_for(s2_sync, s, pricing, overhead_model)
-        for s in enumerate_setups(s2_sync, DEFAULT_LEVELS)
-    ]
+    metrics = metrics_from_rows(
+        run_all(s2_sync, DEFAULT_LEVELS, overhead_model, pricing), pricing.id)
     lat_red, cost_red = baseline_comparison(metrics, "A,B@0,0")
     assert lat_red > 0
     assert cost_red > 0

@@ -1,12 +1,20 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fuseplan.analysis import front_rows, pareto_front
+from fuseplan.app import serialize_app
 from fuseplan.cli import main
-from fuseplan.runner import RESULT_COLUMNS
+from fuseplan.runner import RESULT_COLUMNS, metrics_from_rows, read_results_csv
+
+from .conftest import call_trees
 
 
 def run_cli(*argv: str) -> int:
@@ -619,3 +627,94 @@ def test_empty_level_list_is_refused_where_it_is_read(linear_results, tmp_path, 
     argv = [str(linear_results) if arg == "RESULTS" else arg for arg in argv]
     assert run_cli(*argv, "--levels", str(levels)) == 1
     assert capsys.readouterr() == ("", "error: --levels must list at least one level\n")
+
+
+def _run_to_stdout(*argv: str) -> tuple[str, int]:
+    """``run``'s stderr and the data-row count of the CSV it prints."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert main(["run", *argv]) == 0
+    return err.getvalue(), len(out.getvalue().splitlines()) - 1
+
+
+def test_run_counts_the_rows_it_writes():
+    assert _run_to_stdout("--app", "builtin:TREE") == ("12288 setups evaluated\n", 12288)
+
+
+@pytest.fixture(scope="module")
+def app_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("count") / "app.json"
+
+
+@settings(max_examples=40, deadline=None)
+@given(app=call_trees(), level_count=st.integers(min_value=1, max_value=3))
+def test_run_count_matches_rows_on_call_trees(app_path, app, level_count):
+    app_path.write_text(serialize_app(app))
+    err, rows = _run_to_stdout("--app", str(app_path), "--levels", str(level_count))
+    assert err == f"{rows} setups evaluated\n"
+
+
+@pytest.mark.parametrize("levels", ["\u0663", "\uff13", "\u00b2"])
+def test_levels_count_is_ascii_digits_only(tmp_path, capsys, monkeypatch, levels):
+    # Arabic-Indic three, fullwidth three and superscript two are paths.
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("enumerate", "--app", "builtin:TREE", "--levels", levels) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("i/o error:") and len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("levels", ["0", "4"])
+def test_levels_count_outside_range_is_domain_error(capsys, levels):
+    assert run_cli("enumerate", "--app", "builtin:TREE", "--levels", levels) == 1
+    assert capsys.readouterr() == ("", f"error: --levels {levels} outside 1..3\n")
+
+
+def test_levels_file_must_hold_a_list(tmp_path, capsys):
+    levels = tmp_path / "levels.json"
+    levels.write_text("{}")
+    assert run_cli("enumerate", "--app", "builtin:TREE", "--levels", str(levels)) == 1
+    assert capsys.readouterr() == (
+        "", "error: levels JSON must be a list of {cpu, memory_mb} objects\n")
+
+
+@pytest.mark.parametrize("exc, message", [
+    (MemoryError("Unable to allocate 7.28 TiB"), "Unable to allocate 7.28 TiB"),
+    (MemoryError(), "allocation failed"),
+])
+def test_out_of_memory_is_one_error_line(linear_results, capsys, monkeypatch, exc, message):
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr("fuseplan.cli.alpha_sweep", fail)
+    assert run_cli("sweep", "--results", str(linear_results)) == 1
+    assert capsys.readouterr() == ("", f"error: out of memory: {message}\n")
+
+
+def test_pareto_out_writes_the_front(linear_results, tmp_path):
+    out = tmp_path / "front.json"
+    assert run_cli("pareto", "--results", str(linear_results), "--out", str(out)) == 0
+    with open(linear_results) as handle:
+        metrics = metrics_from_rows(read_results_csv(handle), "traditional")
+    assert json.loads(out.read_text()) == front_rows(pareto_front(metrics))
+
+
+def test_plot_without_out_writes_svg_to_stdout(linear_results, capsys):
+    assert run_cli("plot", "--results", str(linear_results)) == 0
+    assert capsys.readouterr().out.count('<circle class="pt"') == 768
+
+
+def test_plot_path_requires_app(linear_results, capsys):
+    assert run_cli("plot", "--results", str(linear_results), "--path") == 1
+    assert capsys.readouterr() == ("", "error: --path requires --app\n")
+
+
+def test_path_from_an_optimum_says_so(capsys):
+    assert run_cli("path", "--app", "builtin:LINEAR", "--start", "ABCDE@2") == 0
+    assert capsys.readouterr().out.splitlines()[1] == "  already at a local optimum"
+
+
+def test_path_start_without_levels_is_level_zero(capsys):
+    assert run_cli("path", "--app", "builtin:LINEAR", "--start", "ABCDE") == 0
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "greedy path from ABCDE@0 at alpha=0.5 (traditional)")

@@ -188,7 +188,6 @@ def test_setup_name_and_levels():
     assert setup.name == "ABDE,C,F,G@2,0,0,0"
     assert setup.config_of(0) == ResourceConfig(1.0, 1769)
     assert setup.config_of(1) == ResourceConfig(0.1, 128)
-    assert setup.assignment()["ABDE"].cpu == 1.0
 
 
 def test_setup_level_index_validation():
@@ -214,7 +213,8 @@ def test_memory_must_be_a_whole_number():
 
 
 @pytest.mark.parametrize("cpu, memory_mb", [("0.5", 832), (True, 832), (0.5, "832"),
-                                            (0.5, None), (None, 832), (0.5, 0)])
+                                            (0.5, None), (None, 832), (0.5, 0),
+                                            (0.0, 832), (-1.0, 832)])
 def test_level_refuses_non_numbers(cpu, memory_mb):
     with pytest.raises(FusionError):
         ResourceConfig(cpu, memory_mb)

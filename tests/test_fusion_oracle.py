@@ -46,7 +46,7 @@ def test_call_tree_fusion_matches_reference(app, level_count, pricing, picks):
         start = setups[pick % len(setups)]
         assert _moves(app, start) == Counter(reference._neighbors(app, start))
         assert greedy_optimize_path(app, metrics, alpha, start) == (
-            reference.greedy_optimize_path(app, None, None, alpha, start, full_metrics=metrics)
+            reference.greedy_optimize_path(app, metrics, alpha, start)
         )
 
 
@@ -64,9 +64,7 @@ def test_builtin_fusion_matches_reference(name):
         for alpha in (0.0, 0.25, 0.5, 0.75, 1.0):
             for start in (singleton_setup(app), setups[-1]):
                 assert greedy_optimize_path(app, metrics, alpha, start) == (
-                    reference.greedy_optimize_path(
-                        app, None, None, alpha, start, full_metrics=metrics
-                    )
+                    reference.greedy_optimize_path(app, metrics, alpha, start)
                 )
 
 

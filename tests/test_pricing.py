@@ -11,8 +11,8 @@ from fuseplan.pricing import (
     TraditionalPricing,
     cost_of,
     load_pricing_config,
-    metrics_for,
 )
+from fuseplan.runner import evaluate_setup
 from fuseplan.sim import ColdPolicy, InvocationRecord, PlatformModel, SimResult
 
 from .conftest import setup_of
@@ -59,28 +59,31 @@ def test_instance_based_hand_arithmetic():
     assert math.isclose(cost, 20.0, rel_tol=1e-9)
 
 
-def test_metrics_for_fused_pair(s2_sync):
+def row_of(app, name: str, platform: PlatformModel,
+           traditional: TraditionalPricing = TraditionalPricing()):
+    return evaluate_setup(app, setup_of(app, name), platform, traditional,
+                          InstanceBasedPricing())
+
+
+def test_evaluate_setup_fused_pair(s2_sync):
     platform = PlatformModel(5.0, 100.0, ColdPolicy.ALWAYS_COLD, 1.0)
-    metrics = metrics_for(
-        s2_sync, setup_of(s2_sync, "AB@2"), TraditionalPricing(), platform
-    )
-    assert metrics.latency_ms == 305.0
-    assert math.isclose(metrics.cost_pmi_usd, 5.9585, rel_tol=1e-3)
-    assert metrics.setup_name == "AB@2"
-    assert split_setup_name(metrics.setup_name)[0] == "AB"
+    row = row_of(s2_sync, "AB@2", platform)
+    assert row.latency_ms == 305.0
+    assert math.isclose(row.cost_traditional_pmi, 5.9585, rel_tol=1e-3)
+    assert row.setup == "AB@2"
+    assert split_setup_name(row.setup)[0] == "AB"
 
 
 def test_zero_rate_model_costs_nothing(s2_sync, zero_model):
     pricing = TraditionalPricing(request_fee_usd=0.0, gb_second_rate_usd=0.0)
-    metrics = metrics_for(s2_sync, setup_of(s2_sync, "A,B@1,1"), pricing, zero_model)
-    assert metrics.cost_pmi_usd == 0.0
+    row = row_of(s2_sync, "A,B@1,1", zero_model, pricing)
+    assert row.cost_traditional_pmi == 0.0
 
 
 def test_split_costs_fee_plus_wait_billing(s2_sync, overhead_model):
-    pricing = TraditionalPricing()
-    split = metrics_for(s2_sync, setup_of(s2_sync, "A,B@2,2"), pricing, overhead_model)
-    fused = metrics_for(s2_sync, setup_of(s2_sync, "AB@2"), pricing, overhead_model)
-    delta = split.cost_pmi_usd - fused.cost_pmi_usd
+    split = row_of(s2_sync, "A,B@2,2", overhead_model)
+    fused = row_of(s2_sync, "AB@2", overhead_model)
+    delta = split.cost_traditional_pmi - fused.cost_traditional_pmi
     # One extra request fee plus 210 ms of double-billed wait at 1769 MB.
     wait_term = (210.0 / 1000.0) * (1769.0 / 1024.0) * 1.66667e-5 * 1e6
     assert delta > 0

@@ -3,11 +3,12 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 
-from fuseplan.app import CallMode, Task, builtin_app
+from fuseplan.app import AppGraph, CallMode, Task, builtin_app
 from fuseplan.fusion import (
     DEFAULT_LEVELS,
     FusionPartition,
     FusionSetup,
+    ResourceConfig,
     enumerate_partitions,
 )
 from fuseplan.sim import (
@@ -15,22 +16,17 @@ from fuseplan.sim import (
     PlatformModel,
     SimulationError,
     simulate,
-    task_duration,
 )
 
 from .conftest import call_trees, setup_of
 
 
 @pytest.mark.parametrize("cpu, expected", [(1.0, 100.0), (0.5, 200.0), (0.1, 1000.0)])
-def test_task_duration_linear_law(cpu, expected):
-    assert task_duration(Task("A", 100.0), cpu) == expected
-
-
-def test_task_duration_rejects_bad_cpu():
-    with pytest.raises(SimulationError):
-        task_duration(Task("A", 100.0), 0.0)
-    with pytest.raises(SimulationError):
-        task_duration(Task("A", 100.0), -1.0)
+def test_compute_time_linear_law(cpu, expected):
+    app = AppGraph("ONE", (Task("A", 100.0),), (), "A")
+    setup = FusionSetup(FusionPartition.from_groups([frozenset("A")]), (0,),
+                        (ResourceConfig(cpu, 128),))
+    assert simulate(app, setup, PlatformModel()).latency_ms == expected
 
 
 def test_sync_split_hand_trace(s2_sync, overhead_model):
