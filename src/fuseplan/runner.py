@@ -6,8 +6,12 @@ assignment as one lane of a numpy array (``sim.simulate_lanes``), and priced
 per lane in instance order as ``pricing.cost_of`` does. ``fusion.LevelLanes``
 gives each lane's cpu, memory and setup-name suffix. No trace is built.
 
-Rows come out in enumeration order and with repr-exact float formatting, so
-a results file is byte-identical across repeated runs and any ``jobs`` value.
+``run_blocks`` yields each partition's setups as one ``ResultBlock`` of
+per-lane columns. ``write_results_csv`` formats a block as one string and
+``metrics_from_rows`` concatenates block columns; ``run_all`` adapts blocks to
+one ``RunRow`` per setup. Blocks come out in enumeration order and floats are
+written repr-exact, so a results file is byte-identical across repeated runs
+and any ``jobs`` value.
 A results file is read back as one numpy structured array, one column per
 field, with no object per row.
 """
@@ -16,8 +20,8 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 import warnings
-from itertools import repeat
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -25,7 +29,6 @@ import numpy as np
 from .app import AppGraph
 from .fusion import (
     DEFAULT_LEVELS,
-    FusionPartition,
     FusionSetup,
     LevelLanes,
     ResourceConfig,
@@ -57,35 +60,33 @@ RESULT_COLUMNS = RunRow._fields
 RESULT_DTYPE = np.dtype(list(zip(RESULT_COLUMNS, [object] * 2 + [float] * 3 + [np.int64] * 2)))
 
 
-def _per_lane(values, lanes: int) -> list:
-    # tolist() turns float64 into Python floats, so repr() prints them plainly.
-    return values.tolist() if isinstance(values, np.ndarray) else [values] * lanes
+class ResultBlock(NamedTuple):
+    """The results rows of one partition's setups, as columns over its lanes.
+
+    Lane i is the setup ``partition + suffixes[i]``, with the i-th latency and
+    costs (Python floats). The lanes share the invocation and cold-start
+    counts, which follow from the partition alone. A suffix holds a comma
+    only when the partition text does (one fewer than its groups each), so
+    the csv rule quotes every lane's name exactly when it quotes the
+    partition text.
+    """
+
+    app: str
+    partition: str
+    suffixes: Sequence[str]
+    latency_ms: list[float]
+    cost_traditional_pmi: list[float]
+    cost_instance_pmi: list[float]
+    invocations: int
+    cold_starts: int
 
 
-def _partition_rows(app: AppGraph, tree, partition: FusionPartition, lanes: LevelLanes,
-                    platform: PlatformModel, traditional: TraditionalPricing,
-                    instance: InstanceBasedPricing) -> Iterator[RunRow]:
-    """Rows of every level assignment of one partition, in enumeration order."""
-    _, suffixes, cpu, memory = lanes.of(len(partition.groups))
-    # An overflow surfaces as a non-finite billed time, which the walk
-    # reports as a SimulationError, so numpy's own warnings are noise.
-    with np.errstate(all="ignore"):
-        latency, instances = simulate_lanes(tree, app.root, partition, cpu, platform)
-        groups = [g for g, _, _, _ in instances]
-        usage = billed_usage(
-            [billed for _, _, _, billed in instances],
-            [cpu[g] for g in groups],
-            [memory[g] for g in groups],
-        )
-        invocations = len(instances)
-        traditional_cost = price_usage(*usage, invocations, traditional)
-        instance_cost = price_usage(*usage, invocations, instance)
-    cold_starts = invocations if platform.cold_policy is ColdPolicy.ALWAYS_COLD else 0
-    prefix = partition.name
-    n = len(suffixes)
-    return map(RunRow, repeat(app.name, n), [prefix + s for s in suffixes],
-               _per_lane(latency, n), _per_lane(traditional_cost, n),
-               _per_lane(instance_cost, n), repeat(invocations), repeat(cold_starts))
+def _as_block(result: ResultBlock | RunRow) -> ResultBlock:
+    """A block as is, or a row as a one-lane block with an empty suffix."""
+    if isinstance(result, ResultBlock):
+        return result
+    app, setup, *metrics, invocations, cold_starts = result
+    return ResultBlock(app, setup, ("",), *([m] for m in metrics), invocations, cold_starts)
 
 
 def evaluate_setup(
@@ -107,6 +108,38 @@ def evaluate_setup(
     )
 
 
+def run_blocks(
+    app: AppGraph,
+    levels: Sequence[ResourceConfig] = DEFAULT_LEVELS,
+    platform: PlatformModel = PlatformModel(),
+    traditional: TraditionalPricing = TraditionalPricing(),
+    instance: InstanceBasedPricing = InstanceBasedPricing(),
+) -> Iterator[ResultBlock]:
+    """Yield one block per partition, in enumeration order."""
+    lanes = LevelLanes(levels)
+    tree = call_tree(app)
+    for partition in enumerate_partitions(app):
+        _, suffixes, cpu, memory = lanes.of(len(partition.groups))
+        # An overflow surfaces as a non-finite billed time, which the walk
+        # reports as a SimulationError, so numpy's own warnings are noise.
+        with np.errstate(all="ignore"):
+            latency, instances = simulate_lanes(tree, app.root, partition, cpu, platform)
+            groups = [g for g, _, _, _ in instances]
+            usage = billed_usage(
+                [billed for _, _, _, billed in instances],
+                [cpu[g] for g in groups],
+                [memory[g] for g in groups],
+            )
+            invocations = len(instances)
+            columns = (latency, price_usage(*usage, invocations, traditional),
+                       price_usage(*usage, invocations, instance))
+        # One lane runs on plain floats; tolist() turns float64 lanes into
+        # Python floats, which print as their repr.
+        columns = [c.tolist() for c in columns] if len(suffixes) > 1 else [[c] for c in columns]
+        cold_starts = invocations if platform.cold_policy is ColdPolicy.ALWAYS_COLD else 0
+        yield ResultBlock(app.name, partition.name, suffixes, *columns, invocations, cold_starts)
+
+
 def run_all(
     app: AppGraph,
     levels: Sequence[ResourceConfig] = DEFAULT_LEVELS,
@@ -115,24 +148,50 @@ def run_all(
     instance: InstanceBasedPricing = InstanceBasedPricing(),
     jobs: int = 1,
 ) -> Iterator[RunRow]:
-    """Yield one row per setup, in enumeration order.
+    """Yield one row per setup, in enumeration order: ``run_blocks``' lanes.
 
     ``jobs`` is accepted for compatibility and does not change the rows.
     Evaluation runs in this process: with per-setup overhead gone, sharding
     partitions over a process pool measured slower at every benchmarked size,
     since pool start-up and shipping rows back cost more than the walks.
     """
-    lanes = LevelLanes(levels)
-    tree = call_tree(app)
-    for partition in enumerate_partitions(app):
-        yield from _partition_rows(app, tree, partition, lanes, platform, traditional, instance)
+    for block in run_blocks(app, levels, platform, traditional, instance):
+        for suffix, latency, traditional_cost, instance_cost in zip(
+                block.suffixes, block.latency_ms, block.cost_traditional_pmi,
+                block.cost_instance_pmi):
+            yield RunRow(block.app, block.partition + suffix, latency, traditional_cost,
+                         instance_cost, block.invocations, block.cold_starts)
 
 
-def write_results_csv(rows: Iterable[RunRow], stream: io.TextIOBase) -> None:
-    """Write the header and rows, floats as their ``repr`` (as ``csv`` does)."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(RESULT_COLUMNS)
-    writer.writerows(rows)
+# csv.writer quotes a field that holds its delimiter, its quotechar or its
+# line terminator, and doubles the quotechar inside it. A "\r" is quoted
+# too: a reader in text mode ends a line there.
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]')
+
+
+def _doubled_quotes(text: str) -> str:
+    return text.replace('"', '""')
+
+
+def write_results_csv(results: Iterable[ResultBlock | RunRow], stream: io.TextIOBase) -> None:
+    """Write the header and one line per setup, as ``csv.writer`` writes them,
+    one string per block: the app field and the setup prefix are quoted
+    once per block, and a float is written as its ``str``, which for a
+    Python float is its ``repr``. A row is written as a one-lane block."""
+    stream.write(",".join(RESULT_COLUMNS) + "\n")
+    for block in map(_as_block, results):
+        app = f'"{_doubled_quotes(block.app)}"' if _NEEDS_QUOTES.search(block.app) else block.app
+        if _NEEDS_QUOTES.search(block.partition):
+            head, close = f'{app},"{_doubled_quotes(block.partition)}', '"'
+        else:
+            head, close = f"{app},{block.partition}", ""
+        tail = f",{block.invocations},{block.cold_starts}\n"
+        stream.write("".join([
+            f"{head}{suffix}{close},{latency!s},{traditional_cost!s},{instance_cost!s}{tail}"
+            for suffix, latency, traditional_cost, instance_cost in zip(
+                block.suffixes, block.latency_ms, block.cost_traditional_pmi,
+                block.cost_instance_pmi)
+        ]))
 
 
 def read_results_csv(stream: io.TextIOBase) -> np.ndarray:
@@ -189,12 +248,22 @@ def _line_fault(line: str) -> str | None:
     return None
 
 
-def metrics_from_rows(rows: Iterable[RunRow] | np.ndarray, pricing_id: str) -> MetricTable:
-    """Project run rows, or a read results array, onto one pricing model's
-    metrics; the table views the array's columns."""
+def metrics_from_rows(results: Iterable[ResultBlock | RunRow] | np.ndarray,
+                      pricing_id: str) -> MetricTable:
+    """Project result blocks or run rows, or a read results array, onto one
+    pricing model's metrics. Blocks' columns are concatenated, a row being a
+    one-lane block; the table of an array views its columns."""
     columns = {"traditional": "cost_traditional_pmi", "instance_based": "cost_instance_pmi"}
     if pricing_id not in columns:
         raise ValueError(f"unknown pricing id {pricing_id!r}")
-    if not isinstance(rows, np.ndarray):
-        rows = np.fromiter(rows, dtype=RESULT_DTYPE)
-    return MetricTable(rows["setup"], rows["latency_ms"], rows[columns[pricing_id]])
+    column = columns[pricing_id]
+    if isinstance(results, np.ndarray):
+        return MetricTable(results["setup"], results["latency_ms"], results[column])
+    names: list[str] = []
+    latency: list[float] = []
+    cost: list[float] = []
+    for block in map(_as_block, results):
+        names += [block.partition + suffix for suffix in block.suffixes]
+        latency += block.latency_ms
+        cost += getattr(block, column)
+    return MetricTable(names, np.array(latency, dtype=float), np.array(cost, dtype=float))

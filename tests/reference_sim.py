@@ -9,6 +9,7 @@ must stay exactly as they are.
 
 from __future__ import annotations
 
+import csv
 import io
 import math
 from dataclasses import dataclass, field
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 from fuseplan.app import AppGraph, CallMode
 from fuseplan.fusion import FusionSetup, enumerate_partitions
 from fuseplan.pricing import InstanceBasedPricing, TraditionalPricing
-from fuseplan.runner import RunRow, write_results_csv
+from fuseplan.runner import RESULT_COLUMNS, RunRow
 from fuseplan.sim import (
     ColdPolicy,
     InvocationRecord,
@@ -158,7 +159,8 @@ def reference_setups(app: AppGraph, levels):
 def reference_csv(app: AppGraph, levels, platform: PlatformModel,
                   traditional: TraditionalPricing = TraditionalPricing(),
                   instance: InstanceBasedPricing = InstanceBasedPricing()) -> str:
-    """The results CSV built one setup at a time from the reference."""
+    """The results CSV built one setup at a time from the reference and
+    written by ``csv.writer``, so it also checks the engine's own formatter."""
     rows = []
     for setup in reference_setups(app, levels):
         result = reference_simulate(app, setup, platform)
@@ -172,5 +174,7 @@ def reference_csv(app: AppGraph, levels, platform: PlatformModel,
             cold_starts=sum(1 for r in result.invocations if r.cold),
         ))
     buf = io.StringIO()
-    write_results_csv(rows, buf)
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(RESULT_COLUMNS)
+    writer.writerows(rows)
     return buf.getvalue()

@@ -3,8 +3,10 @@ the empty inputs of the analyses."""
 
 from __future__ import annotations
 
+import csv
 import io
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,15 +23,21 @@ from fuseplan.analysis import (
 )
 from fuseplan.app import builtin_app
 from fuseplan.cli import main
-from fuseplan.fusion import singleton_setup
-from fuseplan.pricing import MetricTable, SetupMetrics
+from fuseplan.fusion import DEFAULT_LEVELS, enumerate_setups, singleton_setup
+from fuseplan.pricing import InstanceBasedPricing, MetricTable, SetupMetrics, TraditionalPricing
 from fuseplan.runner import (
     RESULT_COLUMNS,
     RunRow,
+    evaluate_setup,
     metrics_from_rows,
     read_results_csv,
+    run_all,
+    run_blocks,
     write_results_csv,
 )
+from fuseplan.sim import ColdPolicy, PlatformModel
+
+from .conftest import call_trees
 
 # Names with the characters CSV quoting must carry. A bare "\r" is left out:
 # a results file opened in text mode reads it as a line break.
@@ -73,6 +81,55 @@ def test_rows_round_trip_bit_for_bit(rows):
         assert _bits(read.cost_pmi_usd) == _bits(written.cost_pmi_usd)
         if rows:
             assert pareto_front(read) == pareto_front(list(written))
+
+
+# Printable names, as apps require, with the characters the csv rule quotes
+# and spaces that a reader must keep. Task names may not hold ",", "+" or "@".
+_PRINTABLE = st.characters(blacklist_categories=("C", "Zl", "Zp", "Zs"))
+_APP_NAMES = st.text(st.one_of(_PRINTABLE, st.sampled_from(' ,"')), max_size=8)
+_TASK_NAMES = st.text(
+    st.one_of(st.characters(blacklist_categories=("C", "Zl", "Zp", "Zs"),
+                            blacklist_characters=",+@"), st.sampled_from(' "')),
+    min_size=1, max_size=4)
+_PLATFORMS = (PlatformModel(), PlatformModel(5.0, 100.0, ColdPolicy.ALWAYS_COLD, 100.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), app_name=_APP_NAMES,
+       pool=st.lists(_TASK_NAMES, min_size=1, max_size=4, unique=True),
+       level_count=st.integers(1, 3), platform=st.sampled_from(_PLATFORMS))
+def test_block_writer_quotes_names_as_csv_writer_does(data, app_name, pool, level_count, platform):
+    app = replace(data.draw(call_trees(pool)), name=app_name)
+    levels = DEFAULT_LEVELS[:level_count]
+    rows = list(run_all(app, levels, platform))
+    buf = io.StringIO()
+    write_results_csv(run_blocks(app, levels, platform), buf)
+    text = buf.getvalue()
+
+    want = io.StringIO()
+    writer = csv.writer(want, lineterminator="\n")
+    writer.writerow(RESULT_COLUMNS)
+    writer.writerows(rows)
+    assert text == want.getvalue()
+
+    table = read_results_csv(io.StringIO(text))
+    for i, name in enumerate(RESULT_COLUMNS):
+        column = [row[i] for row in rows]
+        if table.dtype[name] == np.float64:
+            assert table[name].tobytes() == _bits(column)
+        else:
+            assert table[name].tolist() == column
+
+    # The perfbench output gate writes one evaluate_setup row and compares
+    # it with the run's line for that setup.
+    lines = text.splitlines()
+    setups = list(enumerate_setups(app, levels))
+    picks = {0, len(setups) - 1} | data.draw(st.sets(st.integers(0, len(setups) - 1), max_size=3))
+    for i in sorted(picks):
+        one = io.StringIO()
+        write_results_csv([evaluate_setup(app, setups[i], platform, TraditionalPricing(),
+                                          InstanceBasedPricing())], one)
+        assert one.getvalue().splitlines()[1] == lines[i + 1]
 
 
 def test_rows_with_a_leading_hash_are_kept_and_blank_lines_skipped():
