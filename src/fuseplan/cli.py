@@ -41,7 +41,7 @@ from .pricing import (
     PricingModel,
     load_pricing_config,
 )
-from .runner import metrics_from_rows, read_results_csv, run_blocks, write_results_csv
+from .runner import metrics_from_rows, read_results_csv, run_all, write_results_csv
 from .sim import PlatformModel, SimulationError
 from .svg import scatter_svg
 from .workload import calibrate_workload
@@ -120,7 +120,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     levels = _load_levels(args.levels)
     platform = _load_platform(args.platform)
     traditional, instance = _run_pricings(_load_pricing(args.pricing))
-    blocks = run_blocks(app, levels, platform, traditional, instance)
+    blocks = run_all(app, levels, platform, traditional, instance)
     if args.out is None:
         write_results_csv(blocks, sys.stdout)
     else:
@@ -221,7 +221,7 @@ def _cmd_path(args: argparse.Namespace) -> int:
     start, alpha = _path_start(args, app, levels)
     platform = _load_platform(args.platform)
     pricing = _load_pricing(args.pricing)
-    blocks = run_blocks(app, levels, platform, *_run_pricings(pricing))
+    blocks = run_all(app, levels, platform, *_run_pricings(pricing))
     steps = greedy_optimize_path(app, metrics_from_rows(blocks, pricing.id), alpha, start)
     print(_bold(f"greedy path from {start.name} at alpha={alpha} ({pricing.id})"))
     if not steps:

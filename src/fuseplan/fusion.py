@@ -91,13 +91,18 @@ class FusionSetup:
     def name(self) -> str:
         return setup_name(self)
 
+    @property
+    def level_suffix(self) -> str:
+        """The ``@<levelIdx>,...`` that follows the partition text in ``name``."""
+        return _level_suffix(map(str, self.level_indices))
+
     def config_of(self, group_index: int) -> ResourceConfig:
         return self.levels[self.level_indices[group_index]]
 
 
 def setup_name(setup: FusionSetup) -> str:
     """``<partition>@<levelIdx>,...`` with indices in group order."""
-    return setup.partition.name + _level_suffix(map(str, setup.level_indices))
+    return setup.partition.name + setup.level_suffix
 
 
 def _level_suffix(index_texts: Iterable[str]) -> str:
@@ -112,8 +117,8 @@ def split_setup_name(name: str) -> tuple[str, str | None]:
 
 
 class LevelLanes:
-    """The level assignments of a k-group setup over one level palette,
-    built once per group count k.
+    """The level assignments of a k-group setup over one level palette. Their
+    name suffixes, cpu and memory are built once per group count k.
 
     Lane i writes i in base R (R levels) with the first group's level most
     significant; this is the order of a partition's setups everywhere.
@@ -125,15 +130,18 @@ class LevelLanes:
         self.levels = tuple(levels)
         self._by_count: dict[int, tuple] = {}
 
-    def of(self, k: int) -> tuple[list[tuple[int, ...]], list[str], list, list]:
-        """(level indices per lane, setup-name suffix per lane, cpu per group,
-        memory per group) for k groups. A group's cpu and memory are arrays
-        over the lanes, or plain numbers when there is one lane."""
+    def indices(self, k: int) -> Iterator[tuple[int, ...]]:
+        """The level index tuple of each lane for k groups, built on each call."""
+        # itertools.product and np.indices in C order both count in base R
+        # with the first group most significant.
+        return product(range(len(self.levels)), repeat=k)
+
+    def of(self, k: int) -> tuple[list[str], list, list]:
+        """(setup-name suffix per lane, cpu per group, memory per group) for k
+        groups. A group's cpu and memory are arrays over the lanes, or plain
+        numbers when there is one lane."""
         if k not in self._by_count:
             radix = len(self.levels)
-            # itertools.product and np.indices in C order both count in base R
-            # with the first group most significant.
-            indices = list(product(range(radix), repeat=k))
             digit_texts = [str(d) for d in range(radix)]
             suffixes = list(map(_level_suffix, product(digit_texts, repeat=k)))
             if radix == 1:
@@ -142,7 +150,7 @@ class LevelLanes:
                 digits = np.indices((radix,) * k).reshape(k, -1)
                 cpu = list(np.array([lv.cpu for lv in self.levels])[digits])
                 memory = list(np.array([lv.memory_mb for lv in self.levels], float)[digits])
-            self._by_count[k] = indices, suffixes, cpu, memory
+            self._by_count[k] = suffixes, cpu, memory
         return self._by_count[k]
 
 
@@ -225,7 +233,7 @@ def enumerate_setups(
     partition order, then the partition's ``LevelLanes`` order."""
     lanes = LevelLanes(levels)
     for partition in enumerate_partitions(app):
-        for indices in lanes.of(len(partition.groups))[0]:
+        for indices in lanes.indices(len(partition.groups)):
             yield FusionSetup(partition, indices, lanes.levels)
 
 

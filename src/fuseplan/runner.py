@@ -6,12 +6,12 @@ assignment as one lane of a numpy array (``sim.simulate_lanes``), and priced
 per lane in instance order as ``pricing.cost_of`` does. ``fusion.LevelLanes``
 gives each lane's cpu, memory and setup-name suffix. No trace is built.
 
-``run_blocks`` yields each partition's setups as one ``ResultBlock`` of
-per-lane columns. ``write_results_csv`` formats a block as one string and
-``metrics_from_rows`` concatenates block columns; ``run_all`` adapts blocks to
-one ``RunRow`` per setup. Blocks come out in enumeration order and floats are
-written repr-exact, so a results file is byte-identical across repeated runs
-and any ``jobs`` value.
+``run_all`` yields each partition's setups as one ``ResultBlock`` of per-lane
+columns, the one stream every consumer takes: ``write_results_csv`` formats a
+block as one string and ``metrics_from_rows`` concatenates block columns.
+``evaluate_setup`` is the scalar reference, one setup as a one-lane block.
+Blocks come out in enumeration order and floats are written repr-exact, so a
+results file is byte-identical across repeated runs and any ``jobs`` value.
 A results file is read back as one numpy structured array, one column per
 field, with no object per row.
 """
@@ -44,19 +44,8 @@ from .pricing import (
 )
 from .sim import ColdPolicy, PlatformModel, call_tree, simulate, simulate_lanes
 
-class RunRow(NamedTuple):
-    """One results-file row; its fields are the file's columns, in order."""
-
-    app: str
-    setup: str
-    latency_ms: float
-    cost_traditional_pmi: float
-    cost_instance_pmi: float
-    invocations: int
-    cold_starts: int
-
-
-RESULT_COLUMNS = RunRow._fields
+RESULT_COLUMNS = ("app", "setup", "latency_ms", "cost_traditional_pmi", "cost_instance_pmi",
+                  "invocations", "cold_starts")
 RESULT_DTYPE = np.dtype(list(zip(RESULT_COLUMNS, [object] * 2 + [float] * 3 + [np.int64] * 2)))
 
 
@@ -81,45 +70,47 @@ class ResultBlock(NamedTuple):
     cold_starts: int
 
 
-def _as_block(result: ResultBlock | RunRow) -> ResultBlock:
-    """A block as is, or a row as a one-lane block with an empty suffix."""
-    if isinstance(result, ResultBlock):
-        return result
-    app, setup, *metrics, invocations, cold_starts = result
-    return ResultBlock(app, setup, ("",), *([m] for m in metrics), invocations, cold_starts)
-
-
 def evaluate_setup(
     app: AppGraph,
     setup: FusionSetup,
     platform: PlatformModel,
     traditional: TraditionalPricing,
     instance: InstanceBasedPricing,
-) -> RunRow:
+) -> ResultBlock:
+    """One setup simulated by ``simulate`` and priced by ``cost_of``: the
+    scalar reference for ``run_all``'s lanes, as a one-lane block."""
     result = simulate(app, setup, platform)
-    return RunRow(
-        app=app.name,
-        setup=setup.name,
-        latency_ms=result.latency_ms,
-        cost_traditional_pmi=cost_of(result, setup, traditional),
-        cost_instance_pmi=cost_of(result, setup, instance),
-        invocations=result.remote_calls,
-        cold_starts=sum(1 for r in result.invocations if r.cold),
+    return ResultBlock(
+        app.name,
+        setup.partition.name,
+        (setup.level_suffix,),
+        [result.latency_ms],
+        [cost_of(result, setup, traditional)],
+        [cost_of(result, setup, instance)],
+        result.remote_calls,
+        sum(1 for r in result.invocations if r.cold),
     )
 
 
-def run_blocks(
+def run_all(
     app: AppGraph,
     levels: Sequence[ResourceConfig] = DEFAULT_LEVELS,
     platform: PlatformModel = PlatformModel(),
     traditional: TraditionalPricing = TraditionalPricing(),
     instance: InstanceBasedPricing = InstanceBasedPricing(),
+    jobs: int = 1,
 ) -> Iterator[ResultBlock]:
-    """Yield one block per partition, in enumeration order."""
+    """Yield one block per partition, in enumeration order.
+
+    ``jobs`` is accepted for compatibility and does not change the blocks.
+    Evaluation runs in this process: with per-setup overhead gone, sharding
+    partitions over a process pool measured slower at every benchmarked size,
+    since pool start-up and shipping rows back cost more than the walks.
+    """
     lanes = LevelLanes(levels)
     tree = call_tree(app)
     for partition in enumerate_partitions(app):
-        _, suffixes, cpu, memory = lanes.of(len(partition.groups))
+        suffixes, cpu, memory = lanes.of(len(partition.groups))
         # An overflow surfaces as a non-finite billed time, which the walk
         # reports as a SimulationError, so numpy's own warnings are noise.
         with np.errstate(all="ignore"):
@@ -140,29 +131,6 @@ def run_blocks(
         yield ResultBlock(app.name, partition.name, suffixes, *columns, invocations, cold_starts)
 
 
-def run_all(
-    app: AppGraph,
-    levels: Sequence[ResourceConfig] = DEFAULT_LEVELS,
-    platform: PlatformModel = PlatformModel(),
-    traditional: TraditionalPricing = TraditionalPricing(),
-    instance: InstanceBasedPricing = InstanceBasedPricing(),
-    jobs: int = 1,
-) -> Iterator[RunRow]:
-    """Yield one row per setup, in enumeration order: ``run_blocks``' lanes.
-
-    ``jobs`` is accepted for compatibility and does not change the rows.
-    Evaluation runs in this process: with per-setup overhead gone, sharding
-    partitions over a process pool measured slower at every benchmarked size,
-    since pool start-up and shipping rows back cost more than the walks.
-    """
-    for block in run_blocks(app, levels, platform, traditional, instance):
-        for suffix, latency, traditional_cost, instance_cost in zip(
-                block.suffixes, block.latency_ms, block.cost_traditional_pmi,
-                block.cost_instance_pmi):
-            yield RunRow(block.app, block.partition + suffix, latency, traditional_cost,
-                         instance_cost, block.invocations, block.cold_starts)
-
-
 # csv.writer quotes a field that holds its delimiter, its quotechar or its
 # line terminator, and doubles the quotechar inside it. A "\r" is quoted
 # too: a reader in text mode ends a line there.
@@ -173,13 +141,13 @@ def _doubled_quotes(text: str) -> str:
     return text.replace('"', '""')
 
 
-def write_results_csv(results: Iterable[ResultBlock | RunRow], stream: io.TextIOBase) -> None:
+def write_results_csv(blocks: Iterable[ResultBlock], stream: io.TextIOBase) -> None:
     """Write the header and one line per setup, as ``csv.writer`` writes them,
-    one string per block: the app field and the setup prefix are quoted
+    one string per block: the app field and the partition text are quoted
     once per block, and a float is written as its ``str``, which for a
-    Python float is its ``repr``. A row is written as a one-lane block."""
+    Python float is its ``repr``."""
     stream.write(",".join(RESULT_COLUMNS) + "\n")
-    for block in map(_as_block, results):
+    for block in blocks:
         app = f'"{_doubled_quotes(block.app)}"' if _NEEDS_QUOTES.search(block.app) else block.app
         if _NEEDS_QUOTES.search(block.partition):
             head, close = f'{app},"{_doubled_quotes(block.partition)}', '"'
@@ -248,11 +216,11 @@ def _line_fault(line: str) -> str | None:
     return None
 
 
-def metrics_from_rows(results: Iterable[ResultBlock | RunRow] | np.ndarray,
+def metrics_from_rows(results: Iterable[ResultBlock] | np.ndarray,
                       pricing_id: str) -> MetricTable:
-    """Project result blocks or run rows, or a read results array, onto one
-    pricing model's metrics. Blocks' columns are concatenated, a row being a
-    one-lane block; the table of an array views its columns."""
+    """Project result blocks, or a read results array, onto one pricing
+    model's metrics. Blocks' columns are concatenated; the table of an array
+    views its columns."""
     columns = {"traditional": "cost_traditional_pmi", "instance_based": "cost_instance_pmi"}
     if pricing_id not in columns:
         raise ValueError(f"unknown pricing id {pricing_id!r}")
@@ -262,7 +230,7 @@ def metrics_from_rows(results: Iterable[ResultBlock | RunRow] | np.ndarray,
     names: list[str] = []
     latency: list[float] = []
     cost: list[float] = []
-    for block in map(_as_block, results):
+    for block in results:
         names += [block.partition + suffix for suffix in block.suffixes]
         latency += block.latency_ms
         cost += getattr(block, column)

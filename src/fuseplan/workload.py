@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import statistics
 import time
 from dataclasses import dataclass
@@ -75,15 +76,15 @@ def ingest_trace(csv_text: str, app: AppGraph) -> dict[str, float]:
     """Median measured duration per task from a ``task,duration_ms`` CSV.
 
     Every task of ``app`` must appear at least once; durations must be
-    positive. Returns the task -> median map, ready for
+    finite and positive. Header fields and task names may be padded with
+    spaces. Returns the task -> median map, ready for
     ``AppGraph.with_base_work``.
     """
     reader = csv.DictReader(io.StringIO(csv_text))
-    if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != [
-        "task",
-        "duration_ms",
-    ]:
+    header = [f.strip() for f in reader.fieldnames or ()]
+    if header != ["task", "duration_ms"]:
         raise WorkloadError("trace CSV must have header 'task,duration_ms'")
+    reader.fieldnames = header
     samples: dict[str, list[float]] = {}
     for row in reader:
         name = (row["task"] or "").strip()
@@ -92,9 +93,10 @@ def ingest_trace(csv_text: str, app: AppGraph) -> dict[str, float]:
         try:
             value = float(row["duration_ms"])
         except (TypeError, ValueError):
-            raise WorkloadError(f"bad duration for task {name!r}") from None
-        if not (value > 0):
-            raise WorkloadError(f"non-positive duration for task {name!r}")
+            value = math.nan
+        if not (math.isfinite(value) and value > 0):
+            raise WorkloadError(f"duration {row['duration_ms']!r} for task {name!r} "
+                                "is not a finite positive number")
         samples.setdefault(name, []).append(value)
     missing = [n for n in app.task_names() if n not in samples]
     if missing:

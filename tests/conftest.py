@@ -10,6 +10,17 @@ from fuseplan.fusion import DEFAULT_LEVELS, parse_full_setup_name
 from fuseplan.sim import ColdPolicy, PlatformModel
 
 
+def setup_rows(blocks) -> list[tuple]:
+    """The results rows of ``ResultBlock``s, one tuple per setup in
+    ``RESULT_COLUMNS`` order."""
+    return [
+        (b.app, b.partition + suffix, latency, traditional, instance, b.invocations, b.cold_starts)
+        for b in blocks
+        for suffix, latency, traditional, instance in zip(
+            b.suffixes, b.latency_ms, b.cost_traditional_pmi, b.cost_instance_pmi)
+    ]
+
+
 def two_task_app(mode: CallMode) -> AppGraph:
     return AppGraph(
         "S2",

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fuseplan.app import AppGraph, CallMode
 from fuseplan.fusion import FusionSetup, enumerate_partitions
 from fuseplan.pricing import InstanceBasedPricing, TraditionalPricing
-from fuseplan.runner import RESULT_COLUMNS, RunRow
+from fuseplan.runner import RESULT_COLUMNS
 from fuseplan.sim import (
     ColdPolicy,
     InvocationRecord,
@@ -164,14 +164,14 @@ def reference_csv(app: AppGraph, levels, platform: PlatformModel,
     rows = []
     for setup in reference_setups(app, levels):
         result = reference_simulate(app, setup, platform)
-        rows.append(RunRow(
-            app=app.name,
-            setup=setup.name,
-            latency_ms=result.latency_ms,
-            cost_traditional_pmi=reference_cost(result, setup, traditional),
-            cost_instance_pmi=reference_cost(result, setup, instance),
-            invocations=result.remote_calls,
-            cold_starts=sum(1 for r in result.invocations if r.cold),
+        rows.append((
+            app.name,
+            setup.name,
+            result.latency_ms,
+            reference_cost(result, setup, traditional),
+            reference_cost(result, setup, instance),
+            result.remote_calls,
+            sum(1 for r in result.invocations if r.cold),
         ))
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

@@ -579,9 +579,9 @@ def test_reserved_or_control_character_in_name_is_domain_error(
 )
 def test_path_checks_start_and_alpha_before_pricing_any_setup(capsys, monkeypatch, option, message):
     def fail(*args, **kwargs):
-        raise AssertionError("run_blocks called before --start and --alpha were checked")
+        raise AssertionError("run_all called before --start and --alpha were checked")
 
-    monkeypatch.setattr("fuseplan.cli.run_blocks", fail)
+    monkeypatch.setattr("fuseplan.cli.run_all", fail)
     assert run_cli("path", "--app", "builtin:TREE", *option) == 1
     assert capsys.readouterr() == ("", message)
 

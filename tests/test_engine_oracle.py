@@ -1,9 +1,9 @@
 """The partition-major engine against the scalar reference simulator.
 
 Random call trees, platforms, level palettes and rates; the results CSV that
-``write_results_csv`` formats from ``run_blocks`` and from ``run_all`` must
-equal the reference's, which ``csv.writer`` formats, byte for byte, and every
-sampled ``simulate`` timeline must equal the reference bit for bit.
+``write_results_csv`` formats from ``run_all``'s blocks must equal the
+reference's, which ``csv.writer`` formats, byte for byte, and every sampled
+``simulate`` timeline must equal the reference bit for bit.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from fuseplan.app import AppGraph, CallEdge, CallMode, Task
 from fuseplan.fusion import ResourceConfig, enumerate_setups
 from fuseplan.pricing import InstanceBasedPricing, TraditionalPricing
-from fuseplan.runner import run_all, run_blocks, write_results_csv
+from fuseplan.runner import run_all, write_results_csv
 from fuseplan.sim import ColdPolicy, PlatformModel, simulate
 
 from .reference_sim import reference_csv, reference_simulate
@@ -74,9 +74,6 @@ rates = st.floats(min_value=0.0, max_value=1e-4)
 @settings(deadline=None, max_examples=25)
 def test_engine_matches_reference(app, platform, levels, traditional, instance):
     want = reference_csv(app, levels, platform, traditional, instance)
-    buf = io.StringIO()
-    write_results_csv(run_blocks(app, levels, platform, traditional, instance), buf)
-    assert buf.getvalue() == want
     for jobs in (1, 2):
         buf = io.StringIO()
         write_results_csv(run_all(app, levels, platform, traditional, instance, jobs=jobs), buf)

@@ -24,7 +24,7 @@ from fuseplan.pricing import InstanceBasedPricing, TraditionalPricing
 from fuseplan.runner import evaluate_setup, run_all
 from fuseplan.sim import PlatformModel
 
-from .conftest import call_trees
+from .conftest import call_trees, setup_rows
 
 # One-letter names beside their concatenations: fused A and B must not be
 # named like the task AB.
@@ -90,14 +90,16 @@ def test_empty_level_list_rejected():
 
 
 def test_level_lanes_order_suffixes_and_resources():
-    indices, suffixes, cpu, memory = LevelLanes(DEFAULT_LEVELS[:2]).of(2)
-    assert indices == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    lanes = LevelLanes(DEFAULT_LEVELS[:2])
+    suffixes, cpu, memory = lanes.of(2)
+    assert list(lanes.indices(2)) == [(0, 0), (0, 1), (1, 0), (1, 1)]
     assert suffixes == ["@0,0", "@0,1", "@1,0", "@1,1"]
     assert [c.tolist() for c in cpu] == [[0.1, 0.1, 0.5, 0.5], [0.1, 0.5, 0.1, 0.5]]
     assert memory[1].tolist() == [128.0, 832.0, 128.0, 832.0]
     # One lane is held as plain numbers, never as length-1 arrays.
-    indices, suffixes, cpu, memory = LevelLanes(DEFAULT_LEVELS[2:]).of(3)
-    assert (indices, suffixes) == ([(0, 0, 0)], ["@0,0,0"])
+    lanes = LevelLanes(DEFAULT_LEVELS[2:])
+    suffixes, cpu, memory = lanes.of(3)
+    assert (list(lanes.indices(3)), suffixes) == ([(0, 0, 0)], ["@0,0,0"])
     assert cpu == [1.0] * 3 and memory == [1769] * 3 and type(cpu[0]) is float
 
 
@@ -261,6 +263,6 @@ def test_mixed_length_names_are_unique_and_parse_back(app, level_count):
         assert parse_full_setup_name(app, setup.name, levels) == setup
     platform = PlatformModel(net_oneway_ms=5.0, cold_start_ms=100.0)
     pricings = TraditionalPricing(), InstanceBasedPricing()
-    rows = list(run_all(app, levels, platform, *pricings))
+    rows = setup_rows(run_all(app, levels, platform, *pricings))
     for i in range(0, len(setups), max(1, len(setups) // 16)):
-        assert evaluate_setup(app, setups[i], platform, *pricings) == rows[i]
+        assert setup_rows([evaluate_setup(app, setups[i], platform, *pricings)]) == [rows[i]]

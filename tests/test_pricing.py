@@ -68,22 +68,23 @@ def row_of(app, name: str, platform: PlatformModel,
 def test_evaluate_setup_fused_pair(s2_sync):
     platform = PlatformModel(5.0, 100.0, ColdPolicy.ALWAYS_COLD, 1.0)
     row = row_of(s2_sync, "AB@2", platform)
-    assert row.latency_ms == 305.0
-    assert math.isclose(row.cost_traditional_pmi, 5.9585, rel_tol=1e-3)
-    assert row.setup == "AB@2"
-    assert split_setup_name(row.setup)[0] == "AB"
+    assert row.latency_ms == [305.0]
+    assert math.isclose(row.cost_traditional_pmi[0], 5.9585, rel_tol=1e-3)
+    setup = row.partition + row.suffixes[0]
+    assert setup == "AB@2"
+    assert split_setup_name(setup)[0] == row.partition == "AB"
 
 
 def test_zero_rate_model_costs_nothing(s2_sync, zero_model):
     pricing = TraditionalPricing(request_fee_usd=0.0, gb_second_rate_usd=0.0)
     row = row_of(s2_sync, "A,B@1,1", zero_model, pricing)
-    assert row.cost_traditional_pmi == 0.0
+    assert row.cost_traditional_pmi == [0.0]
 
 
 def test_split_costs_fee_plus_wait_billing(s2_sync, overhead_model):
     split = row_of(s2_sync, "A,B@2,2", overhead_model)
     fused = row_of(s2_sync, "AB@2", overhead_model)
-    delta = split.cost_traditional_pmi - fused.cost_traditional_pmi
+    delta = split.cost_traditional_pmi[0] - fused.cost_traditional_pmi[0]
     # One extra request fee plus 210 ms of double-billed wait at 1769 MB.
     wait_term = (210.0 / 1000.0) * (1769.0 / 1024.0) * 1.66667e-5 * 1e6
     assert delta > 0

@@ -27,17 +27,16 @@ from fuseplan.fusion import DEFAULT_LEVELS, enumerate_setups, singleton_setup
 from fuseplan.pricing import InstanceBasedPricing, MetricTable, SetupMetrics, TraditionalPricing
 from fuseplan.runner import (
     RESULT_COLUMNS,
-    RunRow,
+    ResultBlock,
     evaluate_setup,
     metrics_from_rows,
     read_results_csv,
     run_all,
-    run_blocks,
     write_results_csv,
 )
 from fuseplan.sim import ColdPolicy, PlatformModel
 
-from .conftest import call_trees
+from .conftest import call_trees, setup_rows
 
 # Names with the characters CSV quoting must carry. A bare "\r" is left out:
 # a results file opened in text mode reads it as a line break.
@@ -47,13 +46,20 @@ _NAMES = st.one_of(
 )
 _FLOATS = st.floats(allow_nan=False, allow_infinity=False)
 _COUNTS = st.integers(min_value=0, max_value=2**63 - 1)
-_ROWS = st.lists(st.builds(RunRow, _NAMES, _NAMES, _FLOATS, _FLOATS, _FLOATS, _COUNTS, _COUNTS),
+_ROWS = st.lists(st.tuples(_NAMES, _NAMES, _FLOATS, _FLOATS, _FLOATS, _COUNTS, _COUNTS),
                  max_size=8)
 
 
-def _round_trip(rows: list[RunRow]) -> np.ndarray:
+def _one_lane_blocks(rows: list[tuple]) -> list[ResultBlock]:
+    """Each row as a one-lane block whose partition text is the whole setup."""
+    return [ResultBlock(app, setup, ("",), [latency], [traditional], [instance],
+                        invocations, cold_starts)
+            for app, setup, latency, traditional, instance, invocations, cold_starts in rows]
+
+
+def _round_trip(rows: list[tuple]) -> np.ndarray:
     buf = io.StringIO()
-    write_results_csv(rows, buf)
+    write_results_csv(_one_lane_blocks(rows), buf)
     return read_results_csv(io.StringIO(buf.getvalue()))
 
 
@@ -63,8 +69,8 @@ def _bits(values) -> bytes:
 
 @settings(max_examples=300, deadline=None)
 @given(_ROWS)
-@example([RunRow("#x,\"y\"\nz", "s@0", -0.0, 5e-324, 1e308, 3, 0),
-          RunRow("a", "t@0", 2.2250738585072014e-308, 0.0, -1e308, 0, 2**63 - 1)])
+@example([("#x,\"y\"\nz", "s@0", -0.0, 5e-324, 1e308, 3, 0),
+          ("a", "t@0", 2.2250738585072014e-308, 0.0, -1e308, 0, 2**63 - 1)])
 def test_rows_round_trip_bit_for_bit(rows):
     table = _round_trip(rows)
     assert len(table) == len(rows)
@@ -74,8 +80,9 @@ def test_rows_round_trip_bit_for_bit(rows):
             assert table[name].tobytes() == _bits(column)
         else:
             assert table[name].tolist() == column
+    blocks = _one_lane_blocks(rows)
     for pricing_id in ("traditional", "instance_based"):
-        read, written = metrics_from_rows(table, pricing_id), metrics_from_rows(rows, pricing_id)
+        read, written = metrics_from_rows(table, pricing_id), metrics_from_rows(blocks, pricing_id)
         assert list(read) == list(written)
         assert _bits(read.latency_ms) == _bits(written.latency_ms)
         assert _bits(read.cost_pmi_usd) == _bits(written.cost_pmi_usd)
@@ -101,9 +108,10 @@ _PLATFORMS = (PlatformModel(), PlatformModel(5.0, 100.0, ColdPolicy.ALWAYS_COLD,
 def test_block_writer_quotes_names_as_csv_writer_does(data, app_name, pool, level_count, platform):
     app = replace(data.draw(call_trees(pool)), name=app_name)
     levels = DEFAULT_LEVELS[:level_count]
-    rows = list(run_all(app, levels, platform))
+    blocks = list(run_all(app, levels, platform))
+    rows = setup_rows(blocks)
     buf = io.StringIO()
-    write_results_csv(run_blocks(app, levels, platform), buf)
+    write_results_csv(blocks, buf)
     text = buf.getvalue()
 
     want = io.StringIO()
@@ -120,7 +128,7 @@ def test_block_writer_quotes_names_as_csv_writer_does(data, app_name, pool, leve
         else:
             assert table[name].tolist() == column
 
-    # The perfbench output gate writes one evaluate_setup row and compares
+    # The perfbench output gate writes one evaluate_setup block and compares
     # it with the run's line for that setup.
     lines = text.splitlines()
     setups = list(enumerate_setups(app, levels))

@@ -68,8 +68,20 @@ def test_ingest_median(s2_sync):
 
 
 def test_ingest_rejects_non_positive(s2_sync):
-    with pytest.raises(WorkloadError, match="non-positive"):
+    with pytest.raises(WorkloadError, match="^duration '0' for task 'A' is not a finite positive number$"):
         ingest_trace("task,duration_ms\nA,0\nB,100\n", s2_sync)
+
+
+@pytest.mark.parametrize("value", ["inf", "nan", "-inf", "fast"])
+def test_ingest_rejects_durations_that_are_not_finite_numbers(s2_sync, value):
+    with pytest.raises(WorkloadError, match=f"^duration '{value}' for task 'A' is not a finite positive number$"):
+        ingest_trace(f"task,duration_ms\nA,{value}\nB,100\n", s2_sync)
+
+
+def test_ingest_reads_padded_header(s2_sync):
+    # The header check strips spaces, so the rows are read under the stripped names.
+    text = " task , duration_ms\n A , 95\nA,105\nB ,100\n"
+    assert ingest_trace(text, s2_sync) == {"A": 100.0, "B": 100.0}
 
 
 def test_ingest_rejects_unknown_task(s2_sync):
