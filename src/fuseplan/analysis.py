@@ -21,8 +21,8 @@ every setup by (cost, latency): only a setup earlier in that order can
 dominate a later one, so a setup is on the front exactly when it is faster
 than every setup before it, or an exact repeat of the front point before
 it (Kung, Luccio & Preparata, 1975). Only front rows become
-``SetupMetrics``. All values must be finite: NaN breaks the ordering, so it
-is rejected.
+``SetupMetrics``. All values must be finite: NaN breaks the ordering, so a
+``MetricTable`` rejects it.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress
 from operator import itemgetter
 from typing import Iterable, Sequence
@@ -38,11 +39,60 @@ import numpy as np
 
 from .app import AppGraph, sync_skeleton
 from .fusion import FusionPartition, FusionSetup, fuse, split_setup_name
-from .pricing import MetricTable, SetupMetrics
 
 
 class AnalysisError(ValueError):
     """Raised for invalid analysis inputs."""
+
+
+@dataclass(frozen=True)
+class SetupMetrics:
+    """Latency and cost of one setup, keyed by its canonical name."""
+
+    setup_name: str
+    latency_ms: float
+    cost_pmi_usd: float
+
+
+@dataclass(frozen=True, eq=False)
+class MetricTable(Sequence[SetupMetrics]):
+    """Latency and cost of many setups, as columns, all finite.
+
+    Indexing row ``i`` builds its ``SetupMetrics``; the analyses read the
+    columns and build one only for a row they report or visit.
+    """
+
+    setup_names: Sequence[str]
+    latency_ms: np.ndarray
+    cost_pmi_usd: np.ndarray
+
+    def __post_init__(self) -> None:
+        finite = np.isfinite(self.latency_ms) & np.isfinite(self.cost_pmi_usd)
+        if not finite.all():
+            name = self.setup_names[np.argmin(finite)]
+            raise AnalysisError(f"setup {name!r} has a non-finite latency or cost")
+
+    @classmethod
+    def of(cls, metrics: Iterable[SetupMetrics]) -> MetricTable:
+        """The table of ``metrics``, which may already be one."""
+        if isinstance(metrics, MetricTable):
+            return metrics
+        metrics = list(metrics)
+        return cls([m.setup_name for m in metrics],
+                   np.array([m.latency_ms for m in metrics], dtype=float),
+                   np.array([m.cost_pmi_usd for m in metrics], dtype=float))
+
+    def __len__(self) -> int:
+        return len(self.latency_ms)
+
+    def __getitem__(self, i: int) -> SetupMetrics:
+        return SetupMetrics(self.setup_names[i], float(self.latency_ms[i]),
+                            float(self.cost_pmi_usd[i]))
+
+    @cached_property
+    def row_of(self) -> dict[str, int]:
+        """Row of each setup name (the last, for a repeated name)."""
+        return {name: i for i, name in enumerate(self.setup_names)}
 
 
 @dataclass(frozen=True)
@@ -151,10 +201,6 @@ def _front(table: MetricTable, caller: str) -> list[SetupMetrics]:
     lat, cost = table.latency_ms, table.cost_pmi_usd
     if not len(lat):
         raise AnalysisError(f"{caller} needs at least one metric")
-    finite = np.isfinite(lat) & np.isfinite(cost)
-    if not finite.all():
-        name = table.setup_names[np.argmin(finite)]
-        raise AnalysisError(f"setup {name!r} has a non-finite latency or cost")
     order = np.lexsort((lat, cost))
     lat, cost = lat[order], cost[order]
     faster = np.ones(len(lat), dtype=bool)

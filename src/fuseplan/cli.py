@@ -194,7 +194,8 @@ def _cmd_plot(args: argparse.Namespace) -> int:
         if not args.app:
             raise AnalysisError("--path requires --app")
         app = _load_app(args.app)
-        start, alpha = _path_start(args, app, _load_levels(args.levels))
+        levels = _load_levels(args.levels)
+        start, alpha = _path_start(args, app, levels)
     else:
         given = [f"--{flag}" for flag in ("app", "levels", "start", "alpha")
                  if getattr(args, flag) is not None]
@@ -203,7 +204,15 @@ def _cmd_plot(args: argparse.Namespace) -> int:
     rows, metrics = _read_metrics(args.results, args.pricing)
     if not len(rows):
         raise AnalysisError("no data")
-    steps = greedy_optimize_path(app, metrics, alpha, start) if args.path else None
+    steps = None
+    if args.path:
+        # The climb moves among the setups of --app at --levels but scores
+        # over every row, so the rows must be exactly those setups.
+        expected = count_setups_tree(len(app.tasks), len(levels))
+        if len(rows) != expected:
+            raise AnalysisError(f"--results has {len(rows)} setups, but --app at --levels "
+                                f"has {expected}")
+        steps = greedy_optimize_path(app, metrics, alpha, start)
     title = f"{rows['app'][0]}: {len(rows)} fusion setups ({args.pricing})"
     _write_or_print(scatter_svg(metrics, title, steps), args.out)
     return 0

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -60,50 +58,6 @@ class InstanceBasedPricing:
 PricingModel = TraditionalPricing | InstanceBasedPricing
 # Every pricing model, in results-file column order; the first is the default.
 PRICING_MODELS = (TraditionalPricing, InstanceBasedPricing)
-
-
-@dataclass(frozen=True)
-class SetupMetrics:
-    """Latency and cost of one setup, keyed by its canonical name."""
-
-    setup_name: str
-    latency_ms: float
-    cost_pmi_usd: float
-
-
-@dataclass(frozen=True, eq=False)
-class MetricTable(Sequence[SetupMetrics]):
-    """Latency and cost of many setups, as columns.
-
-    Indexing row ``i`` builds its ``SetupMetrics``; the analyses read the
-    columns and build one only for a row they report or visit.
-    """
-
-    setup_names: Sequence[str]
-    latency_ms: np.ndarray
-    cost_pmi_usd: np.ndarray
-
-    @classmethod
-    def of(cls, metrics: Iterable[SetupMetrics]) -> MetricTable:
-        """The table of ``metrics``, which may already be one."""
-        if isinstance(metrics, MetricTable):
-            return metrics
-        metrics = list(metrics)
-        return cls([m.setup_name for m in metrics],
-                   np.array([m.latency_ms for m in metrics], dtype=float),
-                   np.array([m.cost_pmi_usd for m in metrics], dtype=float))
-
-    def __len__(self) -> int:
-        return len(self.latency_ms)
-
-    def __getitem__(self, i: int) -> SetupMetrics:
-        return SetupMetrics(self.setup_names[i], float(self.latency_ms[i]),
-                            float(self.cost_pmi_usd[i]))
-
-    @cached_property
-    def row_of(self) -> dict[str, int]:
-        """Row of each setup name (the last, for a repeated name)."""
-        return {name: i for i, name in enumerate(self.setup_names)}
 
 
 def billed_usage(billed_ms, cpu, memory_mb):

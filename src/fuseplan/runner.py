@@ -26,6 +26,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
+from .analysis import MetricTable
 from .app import AppGraph
 from .fusion import (
     DEFAULT_LEVELS,
@@ -36,7 +37,6 @@ from .fusion import (
 )
 from .pricing import (
     InstanceBasedPricing,
-    MetricTable,
     TraditionalPricing,
     billed_usage,
     cost_of,

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .analysis import OptimizationStep, normalize_metrics
-from .pricing import MetricTable, SetupMetrics
+from .analysis import MetricTable, OptimizationStep, SetupMetrics, normalize_metrics
 
 _WIDTH = 640
 _HEIGHT = 480

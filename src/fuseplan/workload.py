@@ -75,30 +75,38 @@ def calibrate_workload(prime_exponent: int, repetitions: int = 5) -> Calibration
 def ingest_trace(csv_text: str, app: AppGraph) -> dict[str, float]:
     """Median measured duration per task from a ``task,duration_ms`` CSV.
 
-    Every task of ``app`` must appear at least once; durations must be
-    finite and positive. Header fields and task names may be padded with
-    spaces. Returns the task -> median map, ready for
+    Every row has exactly two fields, and every task of ``app`` must appear
+    at least once; durations and their medians must be finite and positive.
+    Header fields and task names may be padded with spaces. Blank lines are
+    skipped. Returns the task -> median map, ready for
     ``AppGraph.with_base_work``.
     """
-    reader = csv.DictReader(io.StringIO(csv_text))
-    header = [f.strip() for f in reader.fieldnames or ()]
-    if header != ["task", "duration_ms"]:
+    reader = csv.reader(io.StringIO(csv_text))
+    if [f.strip() for f in next(reader, ())] != ["task", "duration_ms"]:
         raise WorkloadError("trace CSV must have header 'task,duration_ms'")
-    reader.fieldnames = header
     samples: dict[str, list[float]] = {}
     for row in reader:
-        name = (row["task"] or "").strip()
+        if not row:
+            continue
+        if len(row) != 2:
+            raise WorkloadError(f"trace CSV line {reader.line_num}: {len(row)} fields, expected 2")
+        name, duration = row[0].strip(), row[1]
         if name not in app.task_names():
             raise AppValidationError(f"unknown task {name!r} in trace")
         try:
-            value = float(row["duration_ms"])
-        except (TypeError, ValueError):
+            value = float(duration)
+        except ValueError:
             value = math.nan
         if not (math.isfinite(value) and value > 0):
-            raise WorkloadError(f"duration {row['duration_ms']!r} for task {name!r} "
+            raise WorkloadError(f"duration {duration!r} for task {name!r} "
                                 "is not a finite positive number")
         samples.setdefault(name, []).append(value)
     missing = [n for n in app.task_names() if n not in samples]
     if missing:
         raise WorkloadError(f"missing task {missing[0]}")
-    return {name: statistics.median(values) for name, values in samples.items()}
+    medians = {name: statistics.median(values) for name, values in samples.items()}
+    for name, median in medians.items():
+        # The mean of the two middle samples can overflow.
+        if not math.isfinite(median):
+            raise WorkloadError(f"median duration of task {name!r} is not finite")
+    return medians

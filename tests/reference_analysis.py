@@ -14,8 +14,13 @@ from typing import Sequence
 
 import numpy as np
 
-from fuseplan.analysis import AlphaGrid, AnalysisError, SweepReport, normalize_metrics
-from fuseplan.pricing import SetupMetrics
+from fuseplan.analysis import (
+    AlphaGrid,
+    AnalysisError,
+    SetupMetrics,
+    SweepReport,
+    normalize_metrics,
+)
 
 _SWEEP_CHUNK = 512
 

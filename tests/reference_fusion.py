@@ -14,10 +14,15 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from fuseplan.analysis import AnalysisError, OptimizationStep, normalize_metrics, score
+from fuseplan.analysis import (
+    AnalysisError,
+    OptimizationStep,
+    SetupMetrics,
+    normalize_metrics,
+    score,
+)
 from fuseplan.app import AppGraph, CallMode
 from fuseplan.fusion import FusionPartition, FusionSetup, validate_partition
-from fuseplan.pricing import SetupMetrics
 
 
 def enumerate_partitions(app: AppGraph) -> list[FusionPartition]:

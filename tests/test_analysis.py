@@ -1,12 +1,16 @@
 from __future__ import annotations
 
 import math
+import re
+import signal
+from dataclasses import replace
 
 import pytest
 
 from fuseplan.analysis import (
     AlphaGrid,
     AnalysisError,
+    SetupMetrics,
     alpha_sweep,
     baseline_comparison,
     greedy_optimize_path,
@@ -24,12 +28,12 @@ from fuseplan.fusion import (
 )
 from fuseplan.pricing import (
     InstanceBasedPricing,
-    SetupMetrics,
     TraditionalPricing,
     cost_of,
 )
 from fuseplan.runner import metrics_from_rows, run_all
 from fuseplan.sim import ColdPolicy, PlatformModel, simulate
+from fuseplan.svg import scatter_svg
 
 from .conftest import two_task_app
 from fuseplan.app import CallMode
@@ -252,3 +256,40 @@ def test_baseline_comparison_s2(s2_sync, overhead_model):
 def test_baseline_missing_rejected():
     with pytest.raises(AnalysisError, match="baseline"):
         baseline_comparison([SetupMetrics("a@0", 1.0, 1.0)], "zzz@0")
+
+
+_BAD_SETUP = "A,B,C,D,E@0,0,0,1,2"
+_NON_FINITE = {
+    "alpha_sweep": lambda app, metrics: alpha_sweep(metrics, AlphaGrid(11)),
+    "pareto_front": lambda app, metrics: pareto_front(metrics),
+    "greedy_optimize_path": lambda app, metrics: greedy_optimize_path(
+        app, metrics, 0.5, parse_full_setup_name(app, "A,B,C,D,E@0,0,0,0,0")),
+    "baseline_comparison": lambda app, metrics: baseline_comparison(metrics, "ABCDE@0"),
+    "scatter_svg": lambda app, metrics: scatter_svg(metrics),
+}
+
+
+def _timed_out(signum, frame):
+    raise TimeoutError("the analysis ran for 10 s")
+
+
+@pytest.mark.parametrize("column", ["latency_ms", "cost_pmi_usd"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("analysis", sorted(_NON_FINITE))
+def test_every_analysis_refuses_a_non_finite_metric(analysis, bad, column):
+    # One bad value among LINEAR's setups; the alarm turns a climb that never
+    # ends into a failure.
+    app = builtin_app("LINEAR")
+    metrics = [
+        replace(m, **{column: bad}) if m.setup_name == _BAD_SETUP else m
+        for m in metrics_from_rows(run_all(app), "traditional")
+    ]
+    message = f"setup {_BAD_SETUP!r} has a non-finite latency or cost"
+    previous = signal.signal(signal.SIGALRM, _timed_out)
+    signal.alarm(10)
+    try:
+        with pytest.raises(AnalysisError, match=f"^{re.escape(message)}$"):
+            _NON_FINITE[analysis](app, metrics)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

@@ -9,9 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fuseplan.analysis import AlphaGrid, AnalysisError, alpha_sweep, pareto_front
+from fuseplan.analysis import AlphaGrid, AnalysisError, SetupMetrics, alpha_sweep, pareto_front
 from fuseplan.app import BUILTIN_NAMES, builtin_app
-from fuseplan.pricing import SetupMetrics
 from fuseplan.runner import metrics_from_rows, run_all
 
 from . import reference_analysis as reference

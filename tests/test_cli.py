@@ -324,7 +324,7 @@ def test_descriptor_with_non_list_tasks_is_domain_error(tmp_path, capsys):
 def test_plot_title_is_xml_escaped():
     from xml.dom import minidom
 
-    from fuseplan.pricing import SetupMetrics
+    from fuseplan.analysis import SetupMetrics
     from fuseplan.svg import scatter_svg
 
     svg = scatter_svg([SetupMetrics("A@0", 1.0, 2.0)], "a<b&c")
@@ -607,6 +607,23 @@ def test_plot_refuses_path_flags_without_path(linear_results, tmp_path, capsys, 
     out = tmp_path / "plot.svg"
     assert run_cli("plot", "--results", str(linear_results), *option, "--out", str(out)) == 1
     assert capsys.readouterr() == ("", f"error: plot reads {option[0]} only with --path\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "run_levels, plot_levels, rows, expected",
+    [("3", "2", 768, 162), ("3", "1", 768, 16), ("1", "3", 16, 768)],
+)
+def test_plot_path_refuses_levels_that_do_not_describe_results(
+        tmp_path, capsys, run_levels, plot_levels, rows, expected):
+    results, out = tmp_path / "linear.csv", tmp_path / "plot.svg"
+    assert run_cli("run", "--app", "builtin:LINEAR", "--levels", run_levels,
+                   "--out", str(results)) == 0
+    capsys.readouterr()
+    assert run_cli("plot", "--results", str(results), "--path", "--app", "builtin:LINEAR",
+                   "--levels", plot_levels, "--out", str(out)) == 1
+    assert capsys.readouterr() == (
+        "", f"error: --results has {rows} setups, but --app at --levels has {expected}\n")
     assert not out.exists()
 
 

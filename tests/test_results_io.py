@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 
 from fuseplan.analysis import (
     AnalysisError,
+    MetricTable,
+    SetupMetrics,
     alpha_sweep,
     baseline_comparison,
     greedy_optimize_path,
@@ -24,7 +26,7 @@ from fuseplan.analysis import (
 from fuseplan.app import builtin_app
 from fuseplan.cli import main
 from fuseplan.fusion import DEFAULT_LEVELS, enumerate_setups, singleton_setup
-from fuseplan.pricing import InstanceBasedPricing, MetricTable, SetupMetrics, TraditionalPricing
+from fuseplan.pricing import InstanceBasedPricing, TraditionalPricing
 from fuseplan.runner import (
     RESULT_COLUMNS,
     ResultBlock,

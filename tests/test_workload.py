@@ -98,3 +98,23 @@ def test_ingest_feeds_app_override(s2_sync):
     work = ingest_trace("task,duration_ms\nA,80\nB,120\n", s2_sync)
     app = s2_sync.with_base_work(work)
     assert {t.name: t.base_work_ms for t in app.tasks} == {"A": 80.0, "B": 120.0}
+
+
+@pytest.mark.parametrize(
+    "row, fields",
+    [("A,100,7", 3), ("A,100,5", 3), ("A", 1)],
+    ids=["extra column", "decimal comma", "short row"],
+)
+def test_ingest_rejects_rows_without_two_fields(s2_sync, row, fields):
+    with pytest.raises(WorkloadError, match=f"^trace CSV line 3: {fields} fields, expected 2$"):
+        ingest_trace(f"task,duration_ms\nB,100\n{row}\n", s2_sync)
+
+
+def test_ingest_skips_blank_lines(s2_sync):
+    assert ingest_trace("task,duration_ms\n\nA,80\n\nB,120\n", s2_sync) == {"A": 80.0, "B": 120.0}
+
+
+def test_ingest_rejects_a_median_that_overflows(s2_sync):
+    # Both samples are finite; the mean of the two middle ones is not.
+    with pytest.raises(WorkloadError, match="^median duration of task 'A' is not finite$"):
+        ingest_trace("task,duration_ms\nA,1e308\nA,1e308\nB,100\n", s2_sync)
