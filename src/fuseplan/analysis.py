@@ -323,8 +323,6 @@ def greedy_optimize_path(
     (score, cost, latency, name) if it scores strictly lower, so the path
     never revisits a setup.
     """
-    if not (0.0 <= alpha <= 1.0):
-        raise AnalysisError("alpha must lie in [0, 1]")
     table = MetricTable.of(metrics)
     lat = _normalize(table.latency_ms)
     cost = _normalize(table.cost_pmi_usd)

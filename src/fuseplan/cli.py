@@ -253,12 +253,13 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 
 
 def _cmd_apps(args: argparse.Namespace) -> int:
+    levels = len(DEFAULT_LEVELS)
     for name in BUILTIN_NAMES:
         app = builtin_app(name)
         n_sync = sum(1 for e in app.edges if e.mode.value == "sync")
         print(
-            f"{name:<16} {len(app.tasks)} tasks, {len(app.edges)} edges "
-            f"({n_sync} sync), {count_setups_tree(len(app.tasks), 3)} setups at 3 levels"
+            f"{name:<16} {len(app.tasks)} tasks, {len(app.edges)} edges ({n_sync} sync), "
+            f"{count_setups_tree(len(app.tasks), levels)} setups at {levels} levels"
         )
     return 0
 

@@ -4,6 +4,10 @@ Two pricing families are supported: a traditional model with a per-request
 fee plus a GB-second rate, and an instance-based model billing vCPU-seconds
 and GiB-seconds with no per-request component. Rates are configuration with
 defaults taken from public provider price lists.
+
+``billed_usage`` sums a walk's instances into GB-seconds and vCPU-seconds,
+one rule for the engine's lanes in ``runner.run_all`` and for one simulated
+setup in ``cost_of``; ``price_usage`` then applies one model's rates.
 """
 
 from __future__ import annotations
@@ -60,17 +64,17 @@ PricingModel = TraditionalPricing | InstanceBasedPricing
 PRICING_MODELS = (TraditionalPricing, InstanceBasedPricing)
 
 
-def billed_usage(billed_ms, cpu, memory_mb):
-    """GB-seconds and vCPU-seconds of instances billed ``billed_ms[i]`` at
-    ``cpu[i]`` and ``memory_mb[i]``.
+def billed_usage(instances, cpu, memory_mb):
+    """GB-seconds and vCPU-seconds of a walk's ``(group, start, end, billed_ms)``
+    instances, group g running at ``cpu[g]`` and ``memory_mb[g]``.
 
     Values are floats, or arrays over lanes; sums run in instance order.
     """
     mb_ms = 0.0
     cpu_ms = 0.0
-    for billed, c, m in zip(billed_ms, cpu, memory_mb):
-        mb_ms = mb_ms + billed * m
-        cpu_ms = cpu_ms + billed * c
+    for g, _, _, billed in instances:
+        mb_ms = mb_ms + billed * memory_mb[g]
+        cpu_ms = cpu_ms + billed * cpu[g]
     return mb_ms / _MB_PER_GB / _MS_PER_SECOND, cpu_ms / _MS_PER_SECOND
 
 
@@ -104,17 +108,15 @@ def cost_of(result: SimResult, setup: FusionSetup, model: PricingModel) -> float
     regardless of how instances are split.
     """
     index = {name: i for i, name in enumerate(setup.partition.name.split(","))}
-    used = []
+    instances = []
     for record in result.invocations:
         g = index.get(record.group)
         if g is None:
             raise PricingError(f"invocation group {record.group!r} not in setup")
-        used.append(setup.config_of(g))
+        instances.append((g, record.start_ms, record.end_ms, record.billed_ms))
+    configs = [setup.config_of(g) for g in range(len(index))]
     gb_seconds, cpu_seconds = billed_usage(
-        [r.billed_ms for r in result.invocations],
-        [cfg.cpu for cfg in used],
-        [cfg.memory_mb for cfg in used],
-    )
+        instances, [c.cpu for c in configs], [c.memory_mb for c in configs])
     return price_usage(gb_seconds, cpu_seconds, len(result.invocations), model)
 
 

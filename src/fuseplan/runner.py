@@ -2,9 +2,10 @@
 
 Evaluation is partition-major. Setups that share a partition share their
 whole control flow, so each partition is simulated once, with every level
-assignment as one lane of a numpy array (``sim.simulate_lanes``), and priced
-per lane in instance order as ``pricing.cost_of`` does. ``fusion.LevelLanes``
-gives each lane's cpu, memory and setup-name suffix. No trace is built.
+assignment as one lane of a numpy array (``sim.simulate_lanes``), and its
+instances priced by ``pricing.billed_usage``, as ``cost_of`` prices one
+simulated setup. ``fusion.LevelLanes`` gives each lane's cpu, memory and
+setup-name suffix. No trace is built.
 
 ``run_all`` yields each partition's setups as one ``ResultBlock`` of per-lane
 columns, the one stream every consumer takes: ``write_results_csv`` formats a
@@ -36,17 +37,20 @@ from .fusion import (
     enumerate_partitions,
 )
 from .pricing import (
+    PRICING_MODELS,
     InstanceBasedPricing,
     TraditionalPricing,
     billed_usage,
     cost_of,
     price_usage,
 )
-from .sim import ColdPolicy, PlatformModel, call_tree, simulate, simulate_lanes
+from .sim import PlatformModel, call_tree, simulate, simulate_lanes
 
 RESULT_COLUMNS = ("app", "setup", "latency_ms", "cost_traditional_pmi", "cost_instance_pmi",
                   "invocations", "cold_starts")
 RESULT_DTYPE = np.dtype(list(zip(RESULT_COLUMNS, [object] * 2 + [float] * 3 + [np.int64] * 2)))
+# Each pricing id's cost column: both follow the order of PRICING_MODELS.
+_COST_COLUMNS = {model.id: column for model, column in zip(PRICING_MODELS, RESULT_COLUMNS[3:5])}
 
 
 class ResultBlock(NamedTuple):
@@ -115,19 +119,14 @@ def run_all(
         # reports as a SimulationError, so numpy's own warnings are noise.
         with np.errstate(all="ignore"):
             latency, instances = simulate_lanes(tree, app.root, partition, cpu, platform)
-            groups = [g for g, _, _, _ in instances]
-            usage = billed_usage(
-                [billed for _, _, _, billed in instances],
-                [cpu[g] for g in groups],
-                [memory[g] for g in groups],
-            )
+            usage = billed_usage(instances, cpu, memory)
             invocations = len(instances)
             columns = (latency, price_usage(*usage, invocations, traditional),
                        price_usage(*usage, invocations, instance))
         # One lane runs on plain floats; tolist() turns float64 lanes into
         # Python floats, which print as their repr.
         columns = [c.tolist() for c in columns] if len(suffixes) > 1 else [[c] for c in columns]
-        cold_starts = invocations if platform.cold_policy is ColdPolicy.ALWAYS_COLD else 0
+        cold_starts = invocations if platform.starts_cold else 0
         yield ResultBlock(app.name, partition.name, suffixes, *columns, invocations, cold_starts)
 
 
@@ -221,10 +220,9 @@ def metrics_from_rows(results: Iterable[ResultBlock] | np.ndarray,
     """Project result blocks, or a read results array, onto one pricing
     model's metrics. Blocks' columns are concatenated; the table of an array
     views its columns."""
-    columns = {"traditional": "cost_traditional_pmi", "instance_based": "cost_instance_pmi"}
-    if pricing_id not in columns:
+    if pricing_id not in _COST_COLUMNS:
         raise ValueError(f"unknown pricing id {pricing_id!r}")
-    column = columns[pricing_id]
+    column = _COST_COLUMNS[pricing_id]
     if isinstance(results, np.ndarray):
         return MetricTable(results["setup"], results["latency_ms"], results[column])
     names: list[str] = []

@@ -4,7 +4,10 @@ Timing rules, applied with one logical clock per request:
 
 * The client dispatches the root invocation at t=0. Every remote invocation
   spends ``net_oneway_ms`` in transit, then the cold delay if the instance is
-  cold (unbilled), then execution starts.
+  cold (unbilled), then execution starts. ``PlatformModel.starts_cold`` is
+  the one cold-start rule: under always_cold every instance is cold, under
+  always_warm none is. The cold delay, each record's ``cold`` flag and the
+  results' cold-start count all read it.
 * A task runs its scaled compute first, then issues its calls in edge order.
 * A synchronous call inside the group runs inline on the same instance.
 * A synchronous call to another group spawns a fresh instance; the caller
@@ -76,11 +79,13 @@ class PlatformModel:
                      positive=("billing_quantum_ms",))
 
     @property
+    def starts_cold(self) -> bool:
+        """Whether every instance starts cold; under always_warm none does."""
+        return self.cold_policy is ColdPolicy.ALWAYS_COLD
+
+    @property
     def cold_delay_ms(self) -> float:
-        # always_warm applies a zero delay regardless of cold_start_ms.
-        if self.cold_policy is ColdPolicy.ALWAYS_WARM:
-            return 0.0
-        return self.cold_start_ms
+        return self.cold_start_ms if self.starts_cold else 0.0
 
 
 @dataclass(frozen=True)
@@ -246,9 +251,8 @@ def simulate(app: AppGraph, setup: FusionSetup, model: PlatformModel) -> SimResu
     walk.log(0.0, "dispatch", -1, app.root)
     latency, instances = walk.run(app.root)
     names = partition.name.split(",")
-    cold = model.cold_policy is ColdPolicy.ALWAYS_COLD
     records = tuple(
-        InvocationRecord(names[g], i, start, end, billed, cold)
+        InvocationRecord(names[g], i, start, end, billed, model.starts_cold)
         for i, (g, start, end, billed) in enumerate(instances)
     )
     trace = tuple(sorted(walk.events, key=lambda e: (e.time_ms, e.seq)))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .analysis import MetricTable, OptimizationStep, SetupMetrics, normalize_metrics
+from .analysis import AnalysisError, MetricTable, OptimizationStep, SetupMetrics, normalize_metrics
 
 _WIDTH = 640
 _HEIGHT = 480
@@ -69,8 +69,9 @@ def scatter_svg(
     if path_steps:
         row_of = table.row_of
         for step in path_steps:
-            if step.from_setup not in row_of or step.to_setup not in row_of:
-                continue
+            for name in (step.from_setup, step.to_setup):
+                if name not in row_of:
+                    raise AnalysisError(f"setup {name!r} missing from the metric set")
             i, j = row_of[step.from_setup], row_of[step.to_setup]
             parts.append(
                 f'<line class="step-{step.kind}" '

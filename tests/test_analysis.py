@@ -10,6 +10,7 @@ import pytest
 from fuseplan.analysis import (
     AlphaGrid,
     AnalysisError,
+    OptimizationStep,
     SetupMetrics,
     alpha_sweep,
     baseline_comparison,
@@ -224,6 +225,21 @@ def test_greedy_from_optimum_is_empty():
     app, metrics = _s2_space(platform, pricing)
     opt = parse_full_setup_name(app, "AB@2")
     assert greedy_optimize_path(app, metrics, 0.5, opt) == []
+
+
+@pytest.mark.parametrize("alpha", [1.5, -0.1, math.nan])
+def test_greedy_refuses_alpha_outside_unit_range(alpha):
+    app, metrics = _s2_space(PlatformModel(), TraditionalPricing())
+    start = parse_full_setup_name(app, "A,B@0,0")
+    with pytest.raises(AnalysisError, match=r"^alpha must lie in \[0, 1\]$"):
+        greedy_optimize_path(app, metrics, alpha, start)
+
+
+def test_path_step_outside_the_metric_set_is_refused():
+    metrics = [SetupMetrics("a@0", 1.0, 2.0)]
+    step = OptimizationStep("fusion", "a@0", "zzz@0", 0.5, 0.1)
+    with pytest.raises(AnalysisError, match="^setup 'zzz@0' missing from the metric set$"):
+        scatter_svg(metrics, path_steps=[step])
 
 
 def test_greedy_on_linear_ends_fully_fused():

@@ -153,6 +153,15 @@ def test_billing_quantum_rounds_up(s2_sync):
     assert result.invocations[0].billed_ms == 100.0
 
 
+@pytest.mark.parametrize("work_ms, billed", [(100.00005, 200.0), ((0.1 + 0.2) * 1000, 300.0)])
+def test_billing_rounds_float_noise_down_and_real_excess_up(work_ms, billed):
+    # 300.00000000000006 is float noise on an exact multiple and bills 300;
+    # 50 ns past one quantum is real time and bills two.
+    app = AppGraph("ONE", (Task("A", work_ms),), (), "A")
+    model = PlatformModel(0.0, 0.0, ColdPolicy.ALWAYS_COLD, 100.0)
+    assert simulate(app, setup_of(app, "A@2"), model).invocations[0].billed_ms == billed
+
+
 def test_partition_mismatch_rejected(s2_sync):
     other = builtin_app("LINEAR")
     setup = setup_of(other, "ABCDE@0")
